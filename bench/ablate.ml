@@ -1,19 +1,14 @@
 (* Ablation sweep over the solver's run-time flags.
 
    Each template toggles exactly one flag relative to the baseline
-   (packed engine, transposition table on, one domain), so every column
-   of the matrix isolates one mechanism's contribution:
+   (transposition table on, one domain), so every column of the matrix
+   isolates one mechanism's contribution:
 
-     engine=boxed   the succinct representation (int positions, bitset
-                    factor sets, arena configurations) vs the boxed
-                    reference search — same node-for-node exploration,
-                    different data layout;
      cache=off      the transposition table (Seed vs Cached scan);
      jobs=2         the parallel pair scheduler (two worker domains).
 
    Rows are the solver workloads from bench/main.ml, including the two
-   hot rows the packed engine targets (scan_k3_cached and
-   fooling_pipeline). A cell is null when the row has no meaningful
+   hot rows (scan_k3_cached and fooling_pipeline). A cell is null when the row has no meaningful
    setting of the toggled flag (e.g. the exhaustive k=3 scan without a
    table would dominate the sweep's wall clock).
 
@@ -21,13 +16,13 @@
    machine-readable matrix (schema efgame-ablate/1) carrying the same
    environment block as the bench report, so CI can refuse to compare
    numbers across machines. `bench/sweep.sh` drives this together with
-   the per-engine bench runs. *)
+   the bench run. *)
 
 let unary n = String.make n 'a'
 
-type config = { repr : Efgame.Repr.t; cached : bool; jobs : int }
+type config = { cached : bool; jobs : int }
 
-let baseline = { repr = Efgame.Repr.Packed; cached = true; jobs = 1 }
+let baseline = { cached = true; jobs = 1 }
 
 type template = {
   t_name : string;  (** the toggled flag, or "baseline" *)
@@ -37,7 +32,6 @@ type template = {
 let templates =
   [
     { t_name = "baseline"; config = baseline };
-    { t_name = "engine=boxed"; config = { baseline with repr = Efgame.Repr.Boxed } };
     { t_name = "cache=off"; config = { baseline with cached = false } };
     { t_name = "jobs=2"; config = { baseline with jobs = 2 } };
   ]
@@ -112,11 +106,8 @@ let applicable row t =
   (t.config.cached = baseline.cached || row.supports_cache)
   && (t.config.jobs = baseline.jobs || row.supports_jobs)
 
-(* best-of-reps wall time; the engine default is set per cell because
-   the deeper layers (Core.Fooling, Game internals) take no ?repr and
-   read Repr.default at solver construction *)
+(* best-of-reps wall time *)
 let measure ~reps row t =
-  Efgame.Repr.set_default t.config.repr;
   let best = ref infinity in
   for _ = 1 to reps do
     let t0 = Unix.gettimeofday () in
@@ -124,7 +115,6 @@ let measure ~reps row t =
     let dt = Unix.gettimeofday () -. t0 in
     if dt < !best then best := dt
   done;
-  Efgame.Repr.set_default baseline.repr;
   !best
 
 let contains_substring ~needle haystack =
@@ -162,10 +152,9 @@ let () =
         List.filter (fun r -> contains_substring ~needle:sub r.r_name) rows
   in
   let env = Obs.Env.capture () in
-  Printf.printf "ablate: %d rows x %d templates, best of %d rep%s, engine baseline=%s\n%!"
+  Printf.printf "ablate: %d rows x %d templates, best of %d rep%s\n%!"
     (List.length rows) (List.length templates) reps
-    (if reps = 1 then "" else "s")
-    (Efgame.Repr.to_string baseline.repr);
+    (if reps = 1 then "" else "s");
   let matrix =
     List.map
       (fun row ->
@@ -224,8 +213,6 @@ let () =
                         (fun t ->
                           Obs.Jsonw.field j t.t_name (fun j ->
                               Obs.Jsonw.obj j (fun j ->
-                                  Obs.Jsonw.field_string j "engine"
-                                    (Efgame.Repr.to_string t.config.repr);
                                   Obs.Jsonw.field_bool j "cache" t.config.cached;
                                   Obs.Jsonw.field_int j "jobs" t.config.jobs)))
                         templates));

@@ -592,13 +592,11 @@ let write_json ~path ~smoke ~estimates ~frontier ~sharded =
   in
   Obs.Jsonw.to_file path (fun j ->
       Obs.Jsonw.obj j (fun j ->
-          (* /2 added the engine and environment fields; timings are only
-             comparable between reports that agree on both *)
+          (* /2 added the environment field; timings are only comparable
+             between reports that agree on it *)
           Obs.Jsonw.field_string j "schema" "efgame-bench/2";
           Obs.Jsonw.field_bool j "smoke" smoke;
           Obs.Jsonw.field_string j "units" "ns_per_run";
-          Obs.Jsonw.field_string j "engine"
-            (Efgame.Repr.to_string (Efgame.Repr.default ()));
           Obs.Jsonw.field j "environment" (Obs.Env.emit (Obs.Env.capture ()));
           Obs.Jsonw.field j "benchmarks" (fun j ->
               Obs.Jsonw.obj j (fun j ->
@@ -684,14 +682,6 @@ let () =
     | [] -> None
   in
   let json = find_path "--json" args in
-  (match find_path "--engine" args with
-  | Some name -> (
-      match Efgame.Repr.of_string (String.lowercase_ascii name) with
-      | Ok r -> Efgame.Repr.set_default r
-      | Error msg ->
-          prerr_endline ("bench: --engine: " ^ msg);
-          exit 2)
-  | None -> ());
   (match find_path "--trace" args with
   | Some path ->
       Obs.Trace.start ~path ();
@@ -704,15 +694,14 @@ let () =
   | None -> ());
   let filter =
     let rec go = function
-      | ("--json" | "--trace" | "--metrics" | "--engine") :: _ :: rest ->
+      | ("--json" | "--trace" | "--metrics") :: _ :: rest ->
           go rest
       | a :: rest -> if a = "--smoke" then go rest else Some a
       | [] -> None
     in
     go args
   in
-  Printf.printf "bench: monotonic clock, OLS ns/run estimates, engine=%s%s\n%!"
-    (Efgame.Repr.to_string (Efgame.Repr.default ()))
+  Printf.printf "bench: monotonic clock, OLS ns/run estimates%s\n%!"
     (if smoke then " (smoke mode: single runs, timings not meaningful)" else "");
   (* the fork-based sharded measure must precede the bechamel runs (see
      its comment); the frontier measure rides along for cache locality

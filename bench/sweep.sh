@@ -1,15 +1,14 @@
 #!/usr/bin/env bash
-# Ablation sweep: one bench report per solver engine plus the
-# one-flag-at-a-time ablation matrix, all into a single output
-# directory. This is what the ablation-matrix CI job runs (in --smoke
-# mode) and what a workstation run uses to regenerate BENCH_efgame.json
-# (full mode; copy bench-packed.json over the committed baseline).
+# Ablation sweep: the bench report plus the one-flag-at-a-time
+# ablation matrix, all into a single output directory. This is what the
+# ablation-matrix CI job runs (in --smoke mode) and what a workstation
+# run uses to regenerate BENCH_efgame.json (full mode; copy bench.json
+# over the committed baseline).
 #
 #   bench/sweep.sh OUTDIR [--smoke] [--reps N]
 #
 # Produces:
-#   OUTDIR/bench-packed.json     bench --json under --engine packed
-#   OUTDIR/bench-boxed.json      bench --json under --engine boxed
+#   OUTDIR/bench.json            bench --json
 #   OUTDIR/ablation-matrix.json  the ablate.exe matrix (schema efgame-ablate/1)
 #
 # Every report embeds the environment block (hostname, CPU, domain
@@ -33,11 +32,8 @@ done
 
 mkdir -p "$outdir"
 
-for engine in packed boxed; do
-  echo "== bench --engine $engine ${smoke[*]:-} =="
-  dune exec bench/main.exe -- ${smoke[@]+"${smoke[@]}"} --engine "$engine" \
-    --json "$outdir/bench-$engine.json"
-done
+echo "== bench ${smoke[*]:-} =="
+dune exec bench/main.exe -- ${smoke[@]+"${smoke[@]}"} --json "$outdir/bench.json"
 
 echo "== ablation matrix =="
 dune exec bench/ablate.exe -- ${smoke[@]+"${smoke[@]}"} ${reps[@]+"${reps[@]}"} \

@@ -40,7 +40,6 @@ let write_scan_json ~path ~mode ~k ~max_n ~jobs ~budget ~outcome ~stop_reason
       J.obj w (fun w ->
           J.field_string w "schema" "efgame-scan/1";
           J.field_string w "mode" mode;
-          J.field_string w "engine" (Efgame.Repr.to_string (Efgame.Repr.default ()));
           J.field_int w "k" k;
           J.field_int w "max_n" max_n;
           J.field_int w "jobs" jobs;
@@ -101,11 +100,8 @@ let write_scan_json ~path ~mode ~k ~max_n ~jobs ~budget ~outcome ~stop_reason
 
 let run words rounds explain budget scan classes frontier max_n use_cache jobs
     stats table resume salvage checkpoint_s deadline_s inject_faults json trace
-    metrics telemetry telemetry_interval flight engine_repr quiet verbose =
+    metrics telemetry telemetry_interval flight quiet verbose =
   Obs.Log.setup ~quiet ~verbosity:(List.length verbose) ();
-  (* the flag outranks the EFGAME_ENGINE environment default; every solver
-     entry point below picks the engine up via [Repr.default] *)
-  Efgame.Repr.set_default engine_repr;
   (match Rt.Fault.setup ?spec:inject_faults () with
   | Ok () ->
       if Rt.Fault.enabled () then
@@ -1900,13 +1896,6 @@ let flight_arg =
              telemetry tick — a killed process leaves a post-mortem no \
              older than one tick.")
 
-let engine_arg =
-  Arg.(value
-       & opt (enum [ ("packed", Efgame.Repr.Packed); ("boxed", Efgame.Repr.Boxed) ])
-           (Efgame.Repr.default ())
-       & info [ "engine" ] ~docv:"ENGINE"
-           ~doc:"Solver engine: $(b,packed) (succinct representations —                  integer factor ids, arena configurations, packed memo keys)                  or $(b,boxed) (the string-based reference engine). The two                  are verdict-identical on every instance; packed is the                  faster default. Overrides the EFGAME_ENGINE environment                  variable.")
-
 let quiet_arg =
   Arg.(value & flag & info [ "q"; "quiet" ]
        ~doc:"Suppress progress and diagnostic lines on stderr (errors are \
@@ -1921,7 +1910,7 @@ let main_term =
         $ classes_arg $ frontier_arg $ max_arg $ cache_arg $ jobs_arg $ stats_arg
         $ table_arg $ resume_arg $ salvage_arg $ checkpoint_arg $ deadline_arg
         $ faults_arg $ json_arg $ trace_arg $ metrics_arg $ telemetry_arg
-        $ telemetry_interval_arg $ flight_arg $ engine_arg
+        $ telemetry_interval_arg $ flight_arg
         $ quiet_arg $ verbose_arg)
 
 let table_info_cmd =
@@ -1955,9 +1944,8 @@ let table_merge_cmd =
 
 (* A canonical text rendering of a table's exact-verdict frontiers:
    one line per entry, sorted, with the key escaped — two tables are
-   semantically equal iff their dumps are byte-equal. The
-   engine-equivalence CI job diffs the dumps of scans run under the
-   packed and boxed engines. *)
+   semantically equal iff their dumps are byte-equal. The golden test
+   in test/cli pins the dump of a unary ≡₂ scan this way. *)
 let table_dump file salvage quiet verbose =
   Obs.Log.setup ~quiet ~verbosity:(List.length verbose) ();
   let cache = Efgame.Cache.create () in
@@ -1981,7 +1969,7 @@ let table_dump_cmd =
   in
   Cmd.v
     (Cmd.info "dump"
-       ~doc:"Print a table's entries as sorted, escaped text — one line per              position with its exact-verdict frontiers. Two snapshots hold              the same verdicts iff their dumps are byte-identical, which is              how the engine-equivalence CI job compares scans run under              different solver engines.")
+       ~doc:"Print a table's entries as sorted, escaped text — one line per              position with its exact-verdict frontiers. Two snapshots hold              the same verdicts iff their dumps are byte-identical.")
     Term.(const table_dump $ file $ salvage_arg $ quiet_arg $ verbose_arg)
 
 let table_cmd =

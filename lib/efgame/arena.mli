@@ -1,9 +1,9 @@
-(** Arena-allocated game configurations for the packed engine.
+(** Arena-allocated game configurations for the solver engine.
 
     A stack of int pairs in two parallel arrays: a game position's
     entries (partial-isomorphism coordinates) are pushed as the search
-    descends and popped as it backtracks, replacing the boxed engine's
-    cons-cell position lists. One arena per domain is reused across
+    descends and popped as it backtracks, instead of being consed onto
+    position lists. One arena per domain is reused across
     solves ({!Packed} holds it in domain-local state); {!reset} at solve
     start plus the stack discipline guarantee no configuration from an
     earlier solve can alias into a later one — {!generation} exists so
@@ -37,7 +37,7 @@ val generation : t -> int
 
 val to_list : ?from:int -> t -> (int * int) list
 (** Entries from index [from] upward, bottom to top (diagnostics and
-    boxed-interop, e.g. materializing a shared-cache key). *)
+    string interop, e.g. materializing a shared-cache key). *)
 
 val cols : t -> int array * int array
 val col_a : t -> int array

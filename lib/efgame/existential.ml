@@ -22,95 +22,17 @@ let preserves entries =
   done;
   !ok
 
-let extension_ok entries e =
-  let arr = Array.of_list (e :: entries) in
-  let n = Array.length arr in
-  let ok = ref true in
-  for i = 1 to n - 1 do
-    if !ok && not (pair_preserved arr.(0) arr.(i) && pair_preserved arr.(i) arr.(0)) then
-      ok := false
-  done;
-  if !ok then begin
-    let check i j k =
-      if !ok && not (triple_preserved arr.(i) arr.(j) arr.(k)) then ok := false
-    in
-    for i = 0 to n - 1 do
-      for j = 0 to n - 1 do
-        check 0 i j;
-        check i 0 j;
-        check i j 0
-      done
-    done
-  end;
-  !ok
-
-exception Budget_exceeded
-
-let decide_boxed ?(budget = 50_000_000) cfg k0 =
-  let left, right = Game.structures cfg in
+let decide ?(budget = 50_000_000) cfg k0 =
   let consts = Game.constant_entries cfg in
-  let moves =
-    Fc.Structure.universe left
-    |> List.filter (fun e ->
-           not (List.exists (fun (a, _) -> a = Some e) consts))
-    |> List.sort (fun a b ->
-           let c = compare (String.length b) (String.length a) in
-           if c <> 0 then c else String.compare a b)
-  in
-  let memo = Hashtbl.create 1024 in
-  let nodes = ref 0 in
-  let rec wins pairs entries k =
-    incr nodes;
-    if !nodes > budget then raise Budget_exceeded;
-    if k = 0 then true
-    else
-      let key = (k, List.sort compare pairs) in
-      match Hashtbl.find_opt memo key with
-      | Some r -> r
-      | None ->
-          let result =
-            List.for_all
-              (fun a ->
-                List.exists (fun (a', _) -> a' = a) pairs
-                || List.exists
-                     (fun r ->
-                       let entry = (Some a, Some r) in
-                       extension_ok entries entry
-                       && wins ((a, r) :: pairs) (entry :: entries) (k - 1))
-                     (Game.response_candidates cfg entries Game.Left a))
-              moves
-          in
-          Hashtbl.replace memo key result;
-          result
-  in
-  ignore right;
   if not (preserves consts) then Game.Not_equiv
   else
-    try if wins [] consts k0 then Game.Equiv else Game.Not_equiv
-    with Budget_exceeded -> Game.Unknown
+    let left, right = Game.structures cfg in
+    match Packed.solve_existential (Packed.make_gstate left right consts) ~budget k0 with
+    | Some true -> Game.Equiv
+    | Some false -> Game.Not_equiv
+    | None -> Game.Unknown
 
-let decide ?(budget = 50_000_000) ?repr cfg k0 =
-  let repr = match repr with Some r -> r | None -> Repr.default () in
-  let packed =
-    match repr with
-    | Repr.Boxed -> None
-    | Repr.Packed ->
-        let left, right = Game.structures cfg in
-        Game.constant_entries cfg |> Packed.make_gstate left right
-  in
-  match packed with
-  | None -> decide_boxed ~budget cfg k0
-  | Some g ->
-      (* the one-sided recursion is packed; the top-level preservation
-         check of the constant vector stays boxed (it runs once) *)
-      if not (preserves (Game.constant_entries cfg)) then Game.Not_equiv
-      else (
-        match Packed.run_existential g ~budget k0 with
-        | Some true -> Game.Equiv
-        | Some false -> Game.Not_equiv
-        | None -> Game.Unknown)
-
-let equiv ?sigma ?budget ?repr w v k = decide ?budget ?repr (Game.make ?sigma w v) k
+let equiv ?sigma ?budget w v k = decide ?budget (Game.make ?sigma w v) k
 
 let rec positive_exists (f : Fc.Formula.t) =
   match f with

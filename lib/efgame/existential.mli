@@ -13,19 +13,11 @@ val preserves : Partial_iso.entry list -> bool
 (** One-directional condition: aᵢ = aⱼ ⇒ bᵢ = bⱼ, aᵢ = c^𝔄 ⇒ bᵢ = c^𝔅,
     and aᵢ = aⱼ·aₖ ⇒ bᵢ = bⱼ·bₖ. *)
 
-val extension_ok : Partial_iso.entry list -> Partial_iso.entry -> bool
-(** Incremental version of {!preserves}. *)
-
-val decide : ?budget:int -> ?repr:Repr.t -> Game.config -> int -> Game.verdict
+val decide : ?budget:int -> Game.config -> int -> Game.verdict
 (** Does Duplicator win the k-round existential game on the config's
-    left vs right structure? [?repr] selects the engine (default
-    {!Repr.default}); the packed engine replays the identical one-sided
-    search over factor ids and falls back to boxed on instances it
-    cannot represent. *)
+    left vs right structure? The one-sided search runs in {!Packed}. *)
 
-val equiv :
-  ?sigma:char list -> ?budget:int -> ?repr:Repr.t -> string -> string -> int
-  -> Game.verdict
+val equiv : ?sigma:char list -> ?budget:int -> string -> string -> int -> Game.verdict
 (** [equiv w v k]: w ⇛_k v (note the asymmetry). *)
 
 val positive_exists : Fc.Formula.t -> bool

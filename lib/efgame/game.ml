@@ -117,18 +117,7 @@ let response_candidates cfg entries side a =
   derived @ rest
 
 (* ------------------------------------------------------------------ *)
-(* Solver.                                                             *)
-
-(* Shared with [Unary] (the registry dedups by name): every node
-   expansion lands in the bucket of its rounds-remaining, so the merged
-   vector sums to the scan's global node total; the prune counters
-   record why subtrees were never expanded. *)
-let m_nodes = Obs.Metrics.vec ~buckets:8 "game.nodes_by_k"
-let m_prune_dominated = Obs.Metrics.counter "game.prune.dominated"
-let m_prune_forced = Obs.Metrics.counter "game.prune.forced"
-let m_prune_unsat = Obs.Metrics.counter "game.prune.unsat"
-
-exception Budget_exceeded
+(* Solver: a handle on {!Packed}'s general search.                      *)
 
 type stats = {
   nodes : int;
@@ -139,7 +128,7 @@ type stats = {
 
 (* Both words powers of the same single letter (and nonempty, so the
    letter constant is defined on both sides): eligible for the arithmetic
-   fast path of [Unary]. *)
+   search ({!Packed.solve_unary}). *)
 let unary_of cfg =
   let w = Fc.Structure.word cfg.left and v = Fc.Structure.word cfg.right in
   if w = "" || v = "" then None
@@ -153,302 +142,109 @@ type solver = {
   cfg : config;
   mode : mode;
   budget : int;
-  memo : (int * (string * string) list, bool) Hashtbl.t;
   cache : Cache.t option;
-  interner : Position.interner;
-  cmemo : (int * int, bool) Hashtbl.t; (* (rounds, position id), cached path *)
-  unary : (char * int * int) option;
-  repr : Repr.t;
-  packed : Packed.gstate option Lazy.t;
-      (* packed replay of the seed path; only built (and only used) for
-         cache-less full-mode solves from the empty position — the other
-         paths either need the shared table's string keys at every node
-         or a candidate-width limit the packed general search does not
-         carry. Lazy because solver handles are also created by callers
-         that never hit the eligible branch (strategies, winning lines). *)
+  search : (Packed.gstate * Packed.memo) Lazy.t;
+      (* built on first use: handles that only hit the shared table or
+         the unary search never need the factor indexes *)
   mutable nodes : int;
 }
 
-let solver ?(mode = Full) ?(budget = 50_000_000) ?cache ?repr cfg =
-  let repr = match repr with Some r -> r | None -> Repr.default () in
+let solver ?(mode = Full) ?(budget = 50_000_000) ?cache cfg =
   {
     cfg;
     mode;
     budget;
-    memo = Hashtbl.create 64;
     cache;
-    interner = Position.interner ();
-    cmemo = Hashtbl.create 64;
-    unary = (match cache with Some _ -> unary_of cfg | None -> None);
-    repr;
-    packed =
+    search =
       lazy
-        (match (repr, cache, mode) with
-        | Repr.Packed, None, Full -> Packed.make_gstate cfg.left cfg.right cfg.consts
-        | _ -> None);
+        (let g = Packed.make_gstate cfg.left cfg.right cfg.consts in
+         (g, Packed.memo g));
     nodes = 0;
   }
 
 let width_of_mode = function Full -> max_int | Duplicator_limited n -> n
 
-(* Forced Duplicator replies in the general game (string form). When the
-   Spoiler move [a] occurs in a concatenation pattern with two known
-   entries, triple-consistency of the partial isomorphism determines the
-   reply: a = xi·xj forces yi·yj; xi = a·xj forces the prefix of yi
-   complementing yj; xi = xj·a forces the suffix; xi = a·a forces the
-   half of yi. Every other candidate fails [Partial_iso.extension_ok],
-   so restricting the scan to the forced value (or refuting the move
-   when the forcings conflict or fall outside the structure) is exact. *)
-let forced_response cfg entries side a =
-  let to_struct = match side with Left -> cfg.right | Right -> cfg.left in
-  let oriented = List.map (orient side) entries in
-  let known =
-    List.filter_map
-      (fun (x, y) -> match (x, y) with Some x, Some y -> Some (x, y) | _ -> None)
-      oriented
-  in
-  let forced = ref None in
-  let force r =
-    if not (Fc.Structure.mem to_struct r) then raise Exit
-    else
-      match !forced with
-      | None -> forced := Some r
-      | Some r' -> if r <> r' then raise Exit
-  in
-  try
-    List.iter
-      (fun (xi, yi) ->
-        let li = String.length xi and la = String.length a in
-        if li = 2 * la && xi = a ^ a then begin
-          let ly = String.length yi in
-          if ly land 1 = 1 then raise Exit;
-          let h = String.sub yi 0 (ly / 2) in
-          if yi = h ^ h then force h else raise Exit
-        end;
-        List.iter
-          (fun (xj, yj) ->
-            if xi ^ xj = a then force (yi ^ yj);
-            let lj = String.length xj in
-            if li = la + lj && xi = a ^ xj then
-              if Words.Word.is_suffix ~suffix:yj yi then
-                force (String.sub yi 0 (String.length yi - String.length yj))
-              else raise Exit;
-            if li = lj + la && xi = xj ^ a then
-              if Words.Word.is_prefix ~prefix:yj yi then
-                force
-                  (String.sub yi (String.length yj)
-                     (String.length yi - String.length yj))
-              else raise Exit)
-          known)
-      known;
-    match !forced with None -> `Unconstrained | Some r -> `Forced r
-  with Exit -> `Unsat
+let cache_counters = function
+  | None -> (0, 0)
+  | Some c ->
+      let st = Cache.stats c in
+      (st.Cache.hits, st.Cache.misses)
+
+let memo_size s =
+  if Lazy.is_val s.search then Packed.memo_size (snd (Lazy.force s.search))
+  else 0
 
 let solver_run s pairs0 k0 =
   let cfg = s.cfg in
-  let memo = s.memo in
-  let nodes = ref s.nodes in
   let limit = width_of_mode s.mode in
-  let sigma = Fc.Structure.sigma cfg.left in
-  let lw = left_word cfg and rw = right_word cfg in
-  let cache_hits = ref 0 and cache_misses = ref 0 in
-  (* ---------------- seed path: no transposition table ---------------- *)
-  let rec wins pairs entries k =
-    incr nodes;
-    Obs.Metrics.vec_incr m_nodes k;
-    if !nodes > s.budget then raise Budget_exceeded;
-    if k = 0 then true
-    else
-      let key = (k, List.sort compare pairs) in
-      match Hashtbl.find_opt memo key with
-      | Some r -> r
-      | None ->
-          let result =
-            spoiler_side wins Left pairs entries k
-            && spoiler_side wins Right pairs entries k
-          in
-          Hashtbl.replace memo key result;
-          result
-  (* --------------- cached path: canonical keys + table --------------- *)
-  and cwins pairs entries k =
-    incr nodes;
-    Obs.Metrics.vec_incr m_nodes k;
-    if !nodes > s.budget then raise Budget_exceeded;
-    if k = 0 then true
-    else
-      let key = Position.key ~sigma ~left:lw ~right:rw pairs in
-      let id = Position.intern s.interner key in
-      match Hashtbl.find_opt s.cmemo (k, id) with
-      | Some r -> r
-      | None -> (
-          let cache = Option.get s.cache in
-          match Cache.lookup cache key ~k with
-          | Some r ->
-              incr cache_hits;
-              Hashtbl.replace s.cmemo (k, id) r;
-              r
-          | None ->
-              incr cache_misses;
-              let result =
-                cspoiler_side Left pairs entries k
-                && cspoiler_side Right pairs entries k
-              in
-              Hashtbl.replace s.cmemo (k, id) result;
-              if result || limit = max_int then
-                Cache.store cache key ~k result;
-              result)
-  and spoiler_side recur side pairs entries k =
-    let moves = match side with Left -> cfg.left_moves | Right -> cfg.right_moves in
-    let played (a, b) = match side with Left -> a | Right -> b in
-    List.for_all
-      (fun a ->
-        if List.exists (fun p -> played p = a) pairs then begin
-          Obs.Metrics.incr m_prune_dominated;
-          true (* dominated move *)
-        end
-        else
-          let candidates = response_candidates cfg entries side a in
-          let candidates =
-            if limit = max_int then candidates
-            else
-              let derived = derived_candidates entries side a in
-              let d = List.length derived in
-              List.filteri (fun i _ -> i < d + limit) candidates
-          in
-          List.exists
-            (fun r ->
-              let entry = unorient side (Some a, Some r) in
-              Partial_iso.extension_ok entries entry
-              &&
-              let pair = unorient side (a, r) in
-              recur (pair :: pairs) (entry :: entries) (k - 1))
-            candidates)
-      moves
-  and cspoiler_side side pairs entries k =
-    let moves = match side with Left -> cfg.left_moves | Right -> cfg.right_moves in
-    let played (a, b) = match side with Left -> a | Right -> b in
-    let try_reply a r =
-      let entry = unorient side (Some a, Some r) in
-      Partial_iso.extension_ok entries entry
-      &&
-      let pair = unorient side (a, r) in
-      cwins (pair :: pairs) (entry :: entries) (k - 1)
+  let hits0, misses0 = cache_counters s.cache in
+  let memo_entries = ref None in
+  (* the handle's budget is shared by all its solves *)
+  let budget = s.budget - s.nodes in
+  let general ?cache () =
+    let g, memo = Lazy.force s.search in
+    let r, n =
+      Packed.solve_general g ~memo ?cache ~limit ~nodes0:s.nodes
+        ~budget:s.budget ~init:pairs0 k0
     in
-    List.for_all
-      (fun a ->
-        if List.exists (fun p -> played p = a) pairs then begin
-          Obs.Metrics.incr m_prune_dominated;
-          true (* dominated move *)
-        end
-        else
-          match forced_response cfg entries side a with
-          | `Unsat ->
-              Obs.Metrics.incr m_prune_unsat;
-              false
-          | `Forced r ->
-              Obs.Metrics.incr m_prune_forced;
-              try_reply a r
-          | `Unconstrained ->
-              let candidates = response_candidates cfg entries side a in
-              let candidates =
-                if limit = max_int then candidates
-                else List.filteri (fun i _ -> i < limit) candidates
-              in
-              List.exists (fun r -> try_reply a r) candidates)
-      moves
+    s.nodes <- n;
+    r
   in
   let entries0 =
     List.fold_left (fun acc (a, b) -> (Some a, Some b) :: acc) cfg.consts pairs0
   in
-  let top_key =
-    match s.cache with
-    | None -> None
-    | Some _ -> (
-        match s.unary with
-        | Some (_, p, q) ->
-            Some
-              (Position.unary_key ~p ~q
-                 (List.map
-                    (fun (a, b) -> (String.length a, String.length b))
-                    pairs0))
-        | None -> Some (Position.key ~sigma ~left:lw ~right:rw pairs0))
-  in
-  let result, memo_entries =
-    if not (Partial_iso.holds entries0) then (Some false, Hashtbl.length memo)
+  let result =
+    if not (Partial_iso.holds entries0) then Some false
     else
-      (* an exact verdict outranks any recorded budget exhaustion (a
-         later, better-funded search may have solved the position after
-         an earlier one starved) *)
-      let exact =
-        match (s.cache, top_key) with
-        | Some cache, Some key -> Cache.lookup cache key ~k:k0
-        | _ -> None
-      in
-      match (s.cache, top_key) with
-      | Some _, Some _ when exact <> None ->
-          incr cache_hits;
-          (exact, Hashtbl.length memo)
-      | Some cache, Some key
-        when Cache.unknown_reusable cache key ~k:k0 ~width:limit
-               ~budget:s.budget ->
-          (* a weaker-or-equal search already exhausted at least this
-             budget here: rerunning cannot do better *)
-          incr cache_hits;
-          (None, Hashtbl.length memo)
-      | Some cache, Some key -> (
-          let on_budget () =
-            Cache.store_unknown cache key ~k:k0 ~width:limit ~budget:s.budget
+      match s.cache with
+      | None -> general ()
+      | Some cache -> (
+          let unary = unary_of cfg in
+          let lengths =
+            List.map (fun (a, b) -> (String.length a, String.length b)) pairs0
           in
-          match s.unary with
-          | Some (_, p, q) -> (
-              let init =
-                List.map
-                  (fun (a, b) -> (String.length a, String.length b))
-                  pairs0
+          let key =
+            match unary with
+            | Some (_, p, q) -> Position.unary_key ~p ~q lengths
+            | None ->
+                Position.key ~sigma:(Fc.Structure.sigma cfg.left)
+                  ~left:(left_word cfg) ~right:(right_word cfg) pairs0
+          in
+          (* an exact verdict outranks any recorded budget exhaustion (a
+             later, better-funded search may have solved the position
+             after an earlier one starved) *)
+          match Cache.lookup cache key ~k:k0 with
+          | Some _ as r -> r
+          | None
+            when Cache.unknown_reusable cache key ~k:k0 ~width:limit ~budget
+            ->
+              (* a weaker-or-equal search already exhausted at least this
+                 budget here: rerunning cannot do better *)
+              None
+          | None ->
+              let r =
+                match unary with
+                | Some (_, p, q) ->
+                    let r, n, m =
+                      Packed.solve_unary ~cache ~limit ~budget ~p ~q
+                        ~init:lengths k0
+                    in
+                    s.nodes <- s.nodes + n;
+                    memo_entries := Some m;
+                    r
+                | None -> general ~cache ()
               in
-              let before = Cache.stats cache in
-              let usolve =
-                match s.repr with
-                | Repr.Packed -> Packed.solve_unary
-                | Repr.Boxed -> Unary.solve
-              in
-              let r, n, m = usolve ~cache ~limit ~budget:s.budget ~p ~q ~init k0 in
-              let after = Cache.stats cache in
-              cache_hits := !cache_hits + (after.Cache.hits - before.Cache.hits);
-              cache_misses :=
-                !cache_misses + (after.Cache.misses - before.Cache.misses);
-              nodes := !nodes + n;
-              match r with
-              | Some _ -> (r, m)
-              | None ->
-                  on_budget ();
-                  (None, m))
-          | None -> (
-              match cwins pairs0 entries0 k0 with
-              | r -> (Some r, Position.interned s.interner)
-              | exception Budget_exceeded ->
-                  on_budget ();
-                  (None, Position.interned s.interner)))
-      | _ -> (
-          match (if pairs0 = [] then Lazy.force s.packed else None) with
-          | Some g ->
-              let r, n, m =
-                Packed.run_general g ~nodes0:!nodes ~budget:s.budget k0
-              in
-              nodes := n;
-              (r, m)
-          | None -> (
-              match wins pairs0 entries0 k0 with
-              | r -> (Some r, Hashtbl.length memo)
-              | exception Budget_exceeded -> (None, Hashtbl.length memo)))
+              if r = None then
+                Cache.store_unknown cache key ~k:k0 ~width:limit ~budget;
+              r)
   in
-  s.nodes <- !nodes;
+  let hits1, misses1 = cache_counters s.cache in
   ( result,
     {
-      nodes = !nodes;
-      memo_entries;
-      cache_hits = !cache_hits;
-      cache_misses = !cache_misses;
+      nodes = s.nodes;
+      memo_entries = Option.value !memo_entries ~default:(memo_size s);
+      cache_hits = hits1 - hits0;
+      cache_misses = misses1 - misses0;
     } )
 
 let to_verdict mode result =
@@ -461,116 +257,87 @@ let to_verdict mode result =
 let solver_wins s pairs k = to_verdict s.mode (fst (solver_run s pairs k))
 
 let solver_stats s =
-  let ch, cm =
-    match s.cache with
-    | None -> (0, 0)
-    | Some c ->
-        let st = Cache.stats c in
-        (st.Cache.hits, st.Cache.misses)
-  in
+  let hits, misses = cache_counters s.cache in
   {
     nodes = s.nodes;
-    memo_entries = Hashtbl.length s.memo + Position.interned s.interner;
-    cache_hits = ch;
-    cache_misses = cm;
+    memo_entries = memo_size s;
+    cache_hits = hits;
+    cache_misses = misses;
   }
 
 let spoiler_moves cfg = function
   | Left -> cfg.left_moves
   | Right -> cfg.right_moves
 
-let decide_with_stats ?(mode = Full) ?(budget = 50_000_000) ?cache ?repr cfg k =
-  let s = solver ~mode ~budget ?cache ?repr cfg in
+let decide_with_stats ?mode ?budget ?cache cfg k =
+  let s = solver ?mode ?budget ?cache cfg in
   let result, stats = solver_run s [] k in
-  (to_verdict mode result, stats)
+  (to_verdict s.mode result, stats)
 
-let decide ?mode ?budget ?cache ?repr cfg k =
-  fst (decide_with_stats ?mode ?budget ?cache ?repr cfg k)
+let decide ?mode ?budget ?cache cfg k =
+  fst (decide_with_stats ?mode ?budget ?cache cfg k)
 
-let equiv ?sigma ?mode ?budget ?cache ?repr w v k =
-  decide ?mode ?budget ?cache ?repr (make ?sigma w v) k
+let equiv ?sigma ?mode ?budget ?cache w v k =
+  decide ?mode ?budget ?cache (make ?sigma w v) k
 
 (* ------------------------------------------------------------------ *)
 (* Principal variation extraction.                                     *)
 
-let winning_line ?(budget = 50_000_000) cfg k0 =
+exception No_line
+
+(* Read off a solver handle: Spoiler's first move (Left side first, in
+   move order) that no candidate reply survives, and the first
+   candidate reply that at least preserves the partial isomorphism. *)
+let winning_line ?budget cfg k0 =
   if not (base_partial_iso cfg) then Some []
   else
-    let memo = Hashtbl.create 1024 in
-    let nodes = ref 0 in
-    let rec wins pairs entries k =
-      incr nodes;
-      if !nodes > budget then raise Budget_exceeded;
-      if k = 0 then true
-      else
-        let key = (k, List.sort compare pairs) in
-        match Hashtbl.find_opt memo key with
-        | Some r -> r
-        | None ->
-            let result = side_ok Left pairs entries k && side_ok Right pairs entries k in
-            Hashtbl.replace memo key result;
-            result
-    and side_ok side pairs entries k =
-      let moves = match side with Left -> cfg.left_moves | Right -> cfg.right_moves in
-      let played (a, b) = match side with Left -> a | Right -> b in
-      List.for_all
-        (fun a ->
-          List.exists (fun p -> played p = a) pairs
-          || List.exists
-               (fun r ->
-                 let entry = unorient side (Some a, Some r) in
-                 Partial_iso.extension_ok entries entry
-                 && wins (unorient side (a, r) :: pairs) (entry :: entries) (k - 1))
-               (response_candidates cfg entries side a))
-        moves
+    let s = solver ?budget cfg in
+    let duplicator_wins pairs k =
+      match solver_wins s pairs k with
+      | Equiv -> true
+      | Not_equiv -> false
+      | Unknown -> raise No_line
+    in
+    let entry side a r = unorient side (Some a, Some r) in
+    let pair side a r = unorient side (a, r) in
+    let breaks pairs entries k side a =
+      let played (x, y) = match side with Left -> x | Right -> y in
+      (not (List.exists (fun p -> played p = a) pairs))
+      && not
+           (List.exists
+              (fun r ->
+                Partial_iso.extension_ok entries (entry side a r)
+                && duplicator_wins (pair side a r :: pairs) (k - 1))
+              (response_candidates cfg entries side a))
     in
     let find_breaking_move pairs entries k =
       let try_side side =
-        let moves = match side with Left -> cfg.left_moves | Right -> cfg.right_moves in
-        let played (a, b) = match side with Left -> a | Right -> b in
-        List.find_opt
-          (fun a ->
-            (not (List.exists (fun p -> played p = a) pairs))
-            && not
-                 (List.exists
-                    (fun r ->
-                      let entry = unorient side (Some a, Some r) in
-                      Partial_iso.extension_ok entries entry
-                      && wins (unorient side (a, r) :: pairs) (entry :: entries) (k - 1))
-                    (response_candidates cfg entries side a)))
-          moves
+        List.find_opt (breaks pairs entries k side) (spoiler_moves cfg side)
         |> Option.map (fun a -> { side; element = a })
       in
       match try_side Left with Some m -> Some m | None -> try_side Right
     in
-    try
-      if wins [] cfg.consts k0 then None
-      else begin
-        let rec build pairs entries k acc =
-          if k = 0 then List.rev acc
-          else
-            match find_breaking_move pairs entries k with
-            | None -> List.rev acc
-            | Some m ->
-                (* Choose the Duplicator response that at least preserves the
-                   partial isomorphism, if any, to continue the line. *)
-                let resp =
-                  List.find_opt
-                    (fun r -> Partial_iso.extension_ok entries (unorient m.side (Some m.element, Some r)))
-                    (response_candidates cfg entries m.side m.element)
-                in
-                (match resp with
-                | None -> List.rev ((m, None) :: acc)
-                | Some r ->
-                    let entry = unorient m.side (Some m.element, Some r) in
-                    build
-                      (unorient m.side (m.element, r) :: pairs)
-                      (entry :: entries) (k - 1)
-                      ((m, Some r) :: acc))
-        in
-        Some (build [] cfg.consts k0 [])
-      end
-    with Budget_exceeded -> None
+    let rec build pairs entries k acc =
+      if k = 0 then List.rev acc
+      else
+        match find_breaking_move pairs entries k with
+        | None -> List.rev acc
+        | Some m -> (
+            let side = m.side and a = m.element in
+            (* continue the line with the first Duplicator response that
+               at least preserves the partial isomorphism, if any *)
+            match
+              List.find_opt
+                (fun r -> Partial_iso.extension_ok entries (entry side a r))
+                (response_candidates cfg entries side a)
+            with
+            | None -> List.rev ((m, None) :: acc)
+            | Some r ->
+                build (pair side a r :: pairs) (entry side a r :: entries)
+                  (k - 1) ((m, Some r) :: acc))
+    in
+    try if duplicator_wins [] k0 then None else Some (build [] cfg.consts k0 [])
+    with No_line -> None
 
 let pp_move ppf m =
   Format.fprintf ppf "%s:%a"

@@ -5,11 +5,12 @@
     search with (a) incremental partial-isomorphism pruning, (b)
     memoization on canonicalized positions, (c) skipping of dominated
     Spoiler moves (repeating an already-played element or a constant value
-    forces Duplicator's answer and changes nothing), and (d) {e derived}
-    Duplicator candidates — responses forced by the concatenation pattern
-    of the position — tried before heuristically-ordered ones, so that
-    genuinely equivalent words are verified close to the Spoiler-branching
-    lower bound.
+    forces Duplicator's answer and changes nothing), and (d) {e forced}
+    replies: when Spoiler's move occurs in a concatenation pattern with
+    played elements, the pattern fixes Duplicator's only possible answer
+    (or refutes the move), so the reply scan collapses to one candidate;
+    otherwise replies are tried in heuristic order. The search itself
+    lives in {!Packed}.
 
     Verdicts are three-valued: a node budget yields [Unknown] instead of a
     wrong answer, and the Duplicator-restricted mode (which only ever makes
@@ -25,9 +26,9 @@ type verdict = Equiv | Not_equiv | Unknown
 type mode =
   | Full  (** complete search: both verdicts exact *)
   | Duplicator_limited of int
-      (** Duplicator tries only the derived candidates plus the [n]
-          best-scored responses; [Equiv] answers remain sound, failures
-          are reported as [Unknown]. *)
+      (** Duplicator tries only a forced reply or, when no pattern
+          forces one, the [n] best-scored responses; [Equiv] answers
+          remain sound, failures are reported as [Unknown]. *)
 
 type config
 
@@ -51,33 +52,24 @@ type stats = {
 }
 
 val decide :
-  ?mode:mode -> ?budget:int -> ?cache:Cache.t -> ?repr:Repr.t -> config -> int
-  -> verdict
+  ?mode:mode -> ?budget:int -> ?cache:Cache.t -> config -> int -> verdict
 (** [decide cfg k]: does Duplicator have a winning strategy for the
     k-round game? [budget] bounds the number of search nodes (default
     50_000_000).
 
-    With [?cache], the solve runs through the transposition-table engine:
-    positions are canonicalized ({!Position}), consulted in and stored to
-    the shared {!Cache}, Spoiler moves with partial-isomorphism-forced
-    replies skip the candidate scan, and unary instances are dispatched
-    to the arithmetic fast path ({!Unary}). Verdicts are identical to the
-    plain engine on every instance; without [?cache] the seed search runs
-    unchanged.
-
-    [?repr] selects the solver engine (default {!Repr.default}): [Packed]
-    replays the same search over succinct representations ({!Packed}) on
-    the eligible paths — cache-less full-mode solves from the empty
-    position and cached unary solves — and falls back to the boxed
-    engine elsewhere. Verdicts (and node counts) are identical under
-    both engines on every instance. *)
+    Every solve runs {!Packed}'s search. With [?cache], the position is
+    first looked up in the shared {!Cache} (as is every node of the
+    search, under {!Position} keys), budget exhaustions are recorded
+    with their provenance, and unary instances go to the arithmetic
+    search ({!Packed.solve_unary}). The table only ever holds exact
+    verdicts, so with and without it the verdicts are identical. *)
 
 type solver
 (** A solver handle with a persistent memo table, for deciding many
-    positions of the same game (e.g. by solver-backed strategies). *)
+    positions of the same game (e.g. by solver-backed strategies and
+    {!winning_line}). Its node budget is shared by all its solves. *)
 
-val solver :
-  ?mode:mode -> ?budget:int -> ?cache:Cache.t -> ?repr:Repr.t -> config -> solver
+val solver : ?mode:mode -> ?budget:int -> ?cache:Cache.t -> config -> solver
 
 val solver_wins : solver -> (string * string) list -> int -> verdict
 (** [solver_wins s pairs k]: can Duplicator win [k] more rounds from the
@@ -89,19 +81,23 @@ val solver_stats : solver -> stats
     are those of the shared table, when one was supplied. *)
 
 val decide_with_stats :
-  ?mode:mode -> ?budget:int -> ?cache:Cache.t -> ?repr:Repr.t -> config -> int
-  -> verdict * stats
+  ?mode:mode -> ?budget:int -> ?cache:Cache.t -> config -> int ->
+  verdict * stats
 
 val equiv :
   ?sigma:char list -> ?mode:mode -> ?budget:int -> ?cache:Cache.t ->
-  ?repr:Repr.t -> string -> string -> int -> verdict
+  string -> string -> int -> verdict
 (** Convenience wrapper building the config. *)
 
 val winning_line : ?budget:int -> config -> int -> (move * string option) list option
 (** When Spoiler wins the k-round game, a principal variation: Spoiler's
     winning move each round together with the Duplicator response explored
     (or [None] when no response preserves the partial isomorphism).
-    Returns [None] when Duplicator wins or the budget runs out. *)
+    Returns [None] when Duplicator wins or the budget runs out. Read off
+    a {!solver} handle: the first Spoiler move (Left before Right, in
+    {!spoiler_moves} order) that no candidate survives, and the first
+    {!response_candidates} reply that preserves the partial
+    isomorphism. *)
 
 val pp_move : Format.formatter -> move -> unit
 val pp_verdict : Format.formatter -> verdict -> unit
@@ -125,4 +121,4 @@ val spoiler_moves : config -> side -> string list
 
 val unary_of : config -> (char * int * int) option
 (** [Some (c, p, q)] when both words are nonempty powers of the same
-    letter [c] — the instances eligible for the {!Unary} fast path. *)
+    letter [c] — the instances eligible for {!Packed.solve_unary}. *)

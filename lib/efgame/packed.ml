@@ -1,34 +1,32 @@
-(* The packed solver engine: the boxed searches of [Unary], [Game] and
-   [Existential] replayed over succinct representations — factors as
-   suffix-automaton ids ({!Words.Factor_bitset}), positions as
-   arena-allocated int pairs ({!Arena}), memo keys as packed integers.
+(* The solver engine: every ≡_k search of the library runs here, over
+   succinct representations — factors as suffix-automaton ids
+   ({!Words.Factor_bitset}), positions as arena-allocated int pairs
+   ({!Arena}), memo keys as packed integers.
 
-   The contract with the boxed engine is strict mirroring: identical move
-   order, identical candidate order, identical pruning, identical budget
-   accounting and identical Obs metrics, so that the two engines expand
-   the same search tree node for node. Verdict identity is what the
-   monotone-merge soundness of the distributed scans rests on (see
-   DESIGN.md); node identity is stronger, and cheap to test. Any
-   divergence in [Unary]/[Game] search order must be ported here (and
-   will be caught by the identity suite in test/test_packed.ml).
+   There is one search per game shape: the arithmetic unary search
+   ([solve_unary]) and the general ∀∃ recursion ([run]), which also
+   plays Existential's one-sided game. The correctness reference is not
+   a second copy of these searches but an independent brute-force
+   oracle (test/oracle.ml) built straight from the FC structure
+   definition; the contract is verdict identity with it.
 
    Representation choices, in one place:
    - a position's entries live in a per-domain {!Arena} (reset at solve
      start, pushed/popped during search: no per-node allocation);
-   - local memo keys pack the sorted played pairs into one OCaml int
-     whenever they fit in 62 bits, falling back to int-array keys (the
-     number of played pairs is a function of remaining rounds, so the
-     variable-width encoding is unambiguous within a table);
-   - shared-{!Cache} traffic still uses {!Position} string keys, built
-     only at store-eligible depths — table bytes and persistence format
-     are engine-independent. *)
+   - memo keys pack the sorted played pairs into one OCaml int behind a
+     sentinel bit whenever they fit in 62 bits, falling back to
+     int-array keys;
+   - shared-{!Cache} traffic uses {!Position} string keys, so table
+     bytes and the persistence format do not depend on the in-memory
+     representation. *)
 
 module Factor_bitset = Words.Factor_bitset
 
 exception Budget_exceeded
 
-(* Same registry instances as [Game]/[Unary]: packed nodes land in the
-   same vectors the observability CI cross-checks against scan totals. *)
+(* Every node expansion lands in the bucket of its rounds-remaining, so
+   the merged vector sums to the scan's global node total; the prune
+   counters record why subtrees were never expanded. *)
 let m_nodes = Obs.Metrics.vec ~buckets:8 "game.nodes_by_k"
 let m_prune_dominated = Obs.Metrics.counter "game.prune.dominated"
 let m_prune_forced = Obs.Metrics.counter "game.prune.forced"
@@ -41,9 +39,9 @@ let bits_for v =
 
 (* ------------------------------------------------------------------ *)
 (* Per-domain scratch: one arena and one sort buffer, reused across
-   every packed solve on this domain. Solves reset the arena on entry
-   and are not reentrant, so stack discipline guarantees no state leaks
-   from one solve into the next (asserted by the arena-reuse tests). *)
+   every solve on this domain. Solves reset the arena on entry and are
+   not reentrant, so stack discipline guarantees no state leaks from one
+   solve into the next (asserted by the arena-reuse tests). *)
 
 type scratch = {
   ar : Arena.t;
@@ -66,31 +64,21 @@ let ensure_w1buf s n =
   if Array.length s.w1buf < n then s.w1buf <- Array.make (max 64 (2 * n)) 0
 
 (* ------------------------------------------------------------------ *)
-(* Position memo: one table per remaining-round count. Within a table
-   every key encodes the same number of played pairs, so the packed int
-   (or the int array of packed pairs) is a faithful key. The probe array
-   trick avoids allocating on lookups: probing Hashtbl with a mutable
-   scratch key is sound (hashing and equality are structural); only a
-   store copies. Recursion strictly decreases k, so probe.(k) is stable
-   across the subtree computed under it. *)
+(* Position memo: one table per remaining-round count, grown on demand
+   so a solver handle can keep it across solves from different depths.
+   A key is the sorted played pairs: packed into one int behind a
+   leading sentinel bit (which encodes the pair count, so positions with
+   different numbers of pairs never collide), or copied into an int
+   array when that would exceed 62 bits. *)
 
 module Pmemo = struct
   type t = {
-    tbl : (int, bool) Hashtbl.t array;
-    big : (int array, bool) Hashtbl.t array;
-    fits : bool array;
-    probe : int array array;
     pairbits : int;
+    mutable tbl : (int, bool) Hashtbl.t array;
+    mutable big : (int array, bool) Hashtbl.t array;
   }
 
-  let create ~k0 ~npairs_at ~pairbits =
-    {
-      tbl = Array.init (k0 + 1) (fun _ -> Hashtbl.create 64);
-      big = Array.init (k0 + 1) (fun _ -> Hashtbl.create 8);
-      fits = Array.init (k0 + 1) (fun k -> npairs_at k * pairbits <= 62);
-      probe = Array.init (k0 + 1) (fun k -> Array.make (max 1 (npairs_at k)) 0);
-      pairbits;
-    }
+  let create ~pairbits = { pairbits; tbl = [||]; big = [||] }
 
   let size m =
     let total = ref 0 in
@@ -98,10 +86,18 @@ module Pmemo = struct
     Array.iter (fun t -> total := !total + Hashtbl.length t) m.big;
     !total
 
+  let grow a k =
+    Array.init (k + 1) (fun i ->
+        if i < Array.length a then a.(i) else Hashtbl.create 64)
+
   (* memoized [compute ()] under the key in buf.[0 .. n-1] *)
   let cached m k buf n compute =
-    if m.fits.(k) then begin
-      let key = ref 0 in
+    if k >= Array.length m.tbl then begin
+      m.tbl <- grow m.tbl k;
+      m.big <- grow m.big k
+    end;
+    if n * m.pairbits <= 61 then begin
+      let key = ref 1 in
       for i = 0 to n - 1 do
         key := (!key lsl m.pairbits) lor buf.(i)
       done;
@@ -114,13 +110,12 @@ module Pmemo = struct
           r
     end
     else begin
-      let pr = m.probe.(k) in
-      Array.blit buf 0 pr 0 n;
-      match Hashtbl.find_opt m.big.(k) pr with
+      let key = Array.sub buf 0 n in
+      match Hashtbl.find_opt m.big.(k) key with
       | Some r -> r
       | None ->
           let r = compute () in
-          Hashtbl.replace m.big.(k) (Array.copy pr) r;
+          Hashtbl.replace m.big.(k) key r;
           r
     end
 end
@@ -128,8 +123,8 @@ end
 (* Pack the played pairs (arena indices >= nconsts) into keybuf, each as
    (x lsl rbits) lor y, insertion-sorted ascending; returns the count.
    Numeric order on packed pairs is lexicographic order on (x, y), so
-   two positions collide exactly when the boxed sorted pair lists are
-   equal — memo hit patterns match the boxed engine's. *)
+   two positions collide exactly when their sorted pair lists are
+   equal. *)
 let fill_sorted_pairs s ar ~nconsts ~rbits =
   let n = Arena.len ar - nconsts in
   ensure_keybuf s n;
@@ -150,13 +145,69 @@ let fill_sorted_pairs s ar ~nconsts ~rbits =
   n
 
 (* ================================================================== *)
-(* Unary engine: Unary.solve over the arena.                           *)
+(* Unary games.                                                        *)
 (* ================================================================== *)
 
-(* Unary.ext_ok over arena entries (consts + played; order-free). The
-   columns are fetched once and read unsafely: no push happens inside,
-   and every index is < len. (Without flambda each [Arena.fst_at] is a
-   real call, and these loops are the scan's inner core.) *)
+(* Over a single letter, 𝔄_{c^p} is isomorphic to ({0, …, p}, +|≤p, 0,
+   1): a factor is its length and every concatenation pattern is an
+   additive equation. *)
+
+exception Unsat
+
+(* Spoiler move order: refuting moves cluster at the top of the range
+   (the whole-word and near-whole-word factors) and at the small end,
+   so interleave the two directions. Order only — the loop is still
+   exhaustive over [2..m]. *)
+let move_order m =
+  let out = ref [] in
+  let hi = ref m and lo = ref 2 in
+  while !hi >= !lo do
+    out := !hi :: !out;
+    if !lo < !hi then out := !lo :: !out;
+    decr hi;
+    incr lo
+  done;
+  List.rev !out
+
+(* Replies that tend to survive, in order: identical (b = a), mirror
+   (same distance from the right end), same distance shifted by half the
+   length gap — the shift Duplicator's midpoint strategies use — and
+   then by plain closeness. The order is a heuristic only; the scan
+   stays exhaustive. *)
+let candidate_order ~mine_max ~other_max a =
+  let g = other_max - mine_max in
+  let h = g / 2 and h' = g - (g / 2) in
+  let score b =
+    if b = a then -1
+    else
+      let d = b - a in
+      min
+        (min (abs d) (abs (d - g)))
+        (min (abs (d - h)) (abs (d - h')))
+  in
+  List.init (other_max + 1) (fun b -> (score b, b))
+  |> List.sort compare |> List.map snd
+
+(* The candidate order depends only on (side, a) for a fixed instance:
+   compute it once per move value and reuse across the whole search. *)
+let candidate_table ~mine_max ~other_max =
+  let tbl = Array.make (mine_max + 1) [] in
+  let filled = Array.make (mine_max + 1) false in
+  fun a ->
+    if not filled.(a) then begin
+      tbl.(a) <- candidate_order ~mine_max ~other_max a;
+      filled.(a) <- true
+    end;
+    tbl.(a)
+
+(* Partial-isomorphism extension check, arithmetic form, over the arena
+   entries (constants (0,0), (1,1) plus played; order-free): equality
+   patterns, plus every concatenation triple involving the new entry —
+   which over a single letter collapse to additive equations (u·v and
+   v·u have equal length, halving the triple cases). The columns are
+   fetched once and read unsafely: no push happens inside, and every
+   index is < len. (Without flambda each [Arena.fst_at] is a real call,
+   and these loops are the scan's inner core.) *)
 let uext_ok ar na nb =
   let len = Arena.len ar in
   let xs = Arena.col_a ar and ys = Arena.col_b ar in
@@ -181,9 +232,15 @@ let uext_ok ar na nb =
   in
   eq 0 && outer 0
 
-(* Unary.forced_reply over the arena, oriented by [swap] (false: Spoiler
-   moved on the left). Returns the forced reply or -1 (unconstrained);
-   raises Unary.Unsat exactly when the boxed version does. *)
+(* Forced Duplicator replies, oriented by [swap] (false: Spoiler moved
+   on the left). If the move [a] satisfies an additive pattern with
+   known entries, triple-consistency forces the reply:
+     a = x + u   ⇒  b = y + v
+     x = a + u   ⇒  b = y - v
+     x = a + a   ⇒  b = y / 2
+   Returns the forced reply or -1 (unconstrained); raises [Unsat] when
+   forcings conflict or fall outside [0..other_max] — no reply preserves
+   the partial isomorphism at all. *)
 let uforced_reply ar ~swap ~other_max a =
   let len = Arena.len ar in
   let l = Arena.col_a ar and r = Arena.col_b ar in
@@ -191,14 +248,14 @@ let uforced_reply ar ~swap ~other_max a =
   let xs = if swap then r else l and ys = if swap then l else r in
   let forced = ref (-1) in
   let force v =
-    if v < 0 || v > other_max then raise Unary.Unsat
+    if v < 0 || v > other_max then raise Unsat
     else if !forced = -1 then forced := v
-    else if !forced <> v then raise Unary.Unsat
+    else if !forced <> v then raise Unsat
   in
   for i = 0 to len - 1 do
     let x = Array.unsafe_get xs i and y = Array.unsafe_get ys i in
     if x = a + a then
-      if y land 1 = 1 then raise Unary.Unsat else force (y asr 1);
+      if y land 1 = 1 then raise Unsat else force (y asr 1);
     for j = 0 to len - 1 do
       let u = Array.unsafe_get xs j and v = Array.unsafe_get ys j in
       if x + u = a then force (y + v);
@@ -209,9 +266,11 @@ let uforced_reply ar ~swap ~other_max a =
 
 (* Additive closure of one arena column (the [swap]-oriented "mine"
    side), clipped to [2..max_v]: values x + u, x - u, x / 2 over the
-   column's entries, deduplicated into [buf]. Returns the count. Mirrors
-   [Unary.closure]; order is irrelevant (the caller folds a conjunction
-   over the values). *)
+   column's entries, deduplicated into [buf]. Returns the count. Because
+   (0, 0) and (1, 1) are always entries, the closure contains every
+   played coordinate and its ±1 neighbours. A Spoiler move outside the
+   closure fires no pattern of [uext_ok], so it is exactly the closure
+   moves that can be forced or refuted. *)
 let uclosure ar ~swap ~max_v buf =
   let len = Arena.len ar in
   let l = Arena.col_a ar and r = Arena.col_b ar in
@@ -239,11 +298,15 @@ let uclosure ar ~swap ~max_v buf =
   done;
   !n
 
-(* The 1-round closed form over the arena — [Unary.w1] without the list
-   round-trip. This is the leaf of every unary search, so it carries most
-   of a scan's work; unlike the recursive case there is no node or metric
-   accounting inside, so only the boolean must match the boxed form (and
-   does, case for case). *)
+(* Exact closed form for the 1-round game, the leaf of every unary
+   search. A closure move's reply is pinned down by [uforced_reply] (or
+   refuted outright); a generic move [a] — one outside the closure —
+   fires no pattern, and neither does a generic reply [b], so the pair
+   extends the partial isomorphism (every pattern equivalence is false
+   on both sides). Conversely a generic [a] paired with a closure [b]
+   fails: some pattern fires on the reply side only. Hence Duplicator
+   survives a generic move iff a generic reply value exists, i.e. iff
+   the reply-side closure does not cover all of [2..other_max]. *)
 let uw1 s ar ~p ~q =
   let len = Arena.len ar in
   ensure_w1buf s (len * ((2 * len) + 1));
@@ -255,7 +318,7 @@ let uw1 s ar ~p ~q =
       if !ok then
         let a = buf.(ci) in
         match uforced_reply ar ~swap ~other_max a with
-        | exception Unary.Unsat -> ok := false
+        | exception Unsat -> ok := false
         | -1 ->
             (* unreachable for closure moves; kept for exactness *)
             let rec scan b =
@@ -293,15 +356,10 @@ let solve_unary ?cache ?(store_depth = max_int) ?(limit = max_int)
   let full = limit = max_int in
   let nodes = ref 0 in
   let rbits = bits_for (max p q) in
-  let npairs0 = List.length init in
-  let memo =
-    Pmemo.create ~k0
-      ~npairs_at:(fun k -> npairs0 + (k0 - k))
-      ~pairbits:(2 * rbits)
-  in
-  let candidates_l = Unary.candidate_table ~mine_max:p ~other_max:q in
-  let candidates_r = Unary.candidate_table ~mine_max:q ~other_max:p in
-  let order_l = Unary.move_order p and order_r = Unary.move_order q in
+  let memo = Pmemo.create ~pairbits:(2 * rbits) in
+  let candidates_l = candidate_table ~mine_max:p ~other_max:q in
+  let candidates_r = candidate_table ~mine_max:q ~other_max:p in
+  let order_l = move_order p and order_r = move_order q in
   let rec wins k =
     incr nodes;
     Obs.Metrics.vec_incr m_nodes k;
@@ -312,10 +370,13 @@ let solve_unary ?cache ?(store_depth = max_int) ?(limit = max_int)
       Pmemo.cached memo k s.keybuf n (fun () -> compute k n)
   and compute k n =
     if k = 1 then
-      (* closed form; like the boxed engine, never touches the shared
-         table (the computation is cheaper than building its key) *)
+      (* closed form; never touches the shared table (the computation
+         is cheaper than building its key) *)
       uw1 s ar ~p ~q
     else
+      (* deep positions skip the shared table: during a cold scan they
+         are never re-reachable from another instance (keys embed
+         (p, q)), so building their keys is pure overhead *)
       let gkey =
         match cache with
         | Some _ when n <= store_depth ->
@@ -352,7 +413,7 @@ let solve_unary ?cache ?(store_depth = max_int) ?(limit = max_int)
     and survives a =
       let other_max = if swap then p else q in
       match uforced_reply ar ~swap ~other_max a with
-      | exception Unary.Unsat ->
+      | exception Unsat ->
           Obs.Metrics.incr m_prune_unsat;
           false
       | -1 ->
@@ -379,8 +440,8 @@ let solve_unary ?cache ?(store_depth = max_int) ?(limit = max_int)
     in
     moves (if swap then order_r else order_l)
   in
-  (* validate the initial position entry by entry (same fold as boxed:
-     once an entry fails, later ones are not added) *)
+  (* validate the initial position entry by entry (once an entry fails,
+     later ones are not added) *)
   let valid = ref true in
   List.iter
     (fun (l, r) ->
@@ -395,8 +456,7 @@ let solve_unary ?cache ?(store_depth = max_int) ?(limit = max_int)
   (result, !nodes, Pmemo.size memo)
 
 (* ================================================================== *)
-(* General engine: Game's seed path (and Existential's one-sided game) *)
-(* over factor ids.                                                    *)
+(* General (two-word) games over factor ids.                           *)
 (* ================================================================== *)
 
 type gside = {
@@ -408,6 +468,7 @@ type gside = {
 type gstate = {
   gl : gside;
   gr : gside;
+  sigma : char list; (* part of every shared-table key *)
   consts_l : int array; (* parallel entry coordinates; -1 encodes ⊥ *)
   consts_r : int array;
   moves_l : int array; (* Spoiler moves, longest first (desc len, lex) *)
@@ -450,15 +511,14 @@ let make_gside w =
   Array.iteri (fun rank id -> lexrank.(id) <- rank) ids;
   { fb; lexrank; wlen = String.length w }
 
+let id_of fb v =
+  match Factor_bitset.id_of fb v with
+  | Some i -> i
+  | None -> invalid_arg "Packed: element is not a factor of its word"
+
 let const_ids fb proj consts =
   List.map
-    (fun e ->
-      match proj e with
-      | None -> -1
-      | Some v -> (
-          match Factor_bitset.id_of fb v with
-          | Some i -> i
-          | None -> invalid_arg "Packed.make_gstate: constant not a factor"))
+    (fun e -> match proj e with None -> -1 | Some v -> id_of fb v)
     consts
   |> Array.of_list
 
@@ -485,61 +545,57 @@ let make_gstate left right consts =
   let lw = Fc.Structure.word left and rw = Fc.Structure.word right in
   let gl = make_gside lw and gr = make_gside rw in
   let fl = Factor_bitset.size gl.fb and fr = Factor_bitset.size gr.fb in
-  (* The packed candidate sort key multiplexes (penalty, distance,
-     lex rank, id) into one int; bail out to the boxed engine when the
-     instance is too large for that to fit (far beyond current use). *)
-  if gl.wlen + gr.wlen > 4000 || fl > 1 lsl 20 || fr > 1 lsl 20 then None
-  else
-    Some
-      {
-        gl;
-        gr;
-        consts_l = const_ids gl.fb fst consts;
-        consts_r = const_ids gr.fb snd consts;
-        moves_l = movable gl (const_ids gl.fb fst consts);
-        moves_r = movable gr (const_ids gr.fb snd consts);
-        xmap_lr = cross_map gl gr;
-        xmap_rl = cross_map gr gl;
-        cand_l = Array.make fl None;
-        cand_r = Array.make fr None;
-        lbits = bits_for (max 1 (fl - 1));
-        gbits = bits_for (max 1 (fl - 1)) + bits_for (max 1 (fr - 1));
-      }
+  let consts_l = const_ids gl.fb fst consts in
+  let consts_r = const_ids gr.fb snd consts in
+  let lbits = bits_for (max 1 (fl - 1)) in
+  {
+    gl;
+    gr;
+    sigma = Fc.Structure.sigma left;
+    consts_l;
+    consts_r;
+    moves_l = movable gl consts_l;
+    moves_r = movable gr consts_r;
+    xmap_lr = cross_map gl gr;
+    xmap_rl = cross_map gr gl;
+    cand_l = Array.make fl None;
+    cand_r = Array.make fr None;
+    lbits;
+    gbits = lbits + bits_for (max 1 (fr - 1));
+  }
 
-(* Game.response_candidates' tail: the whole response universe sorted by
-   (score, response) — the score is position-independent, so the order
-   is computed once per (side, move) and reused at every node. Key
-   layout (most significant first): identical-response flag, prefix/
-   suffix status penalty, length distance, lexicographic rank — exactly
-   the boxed ((-1|0, penalty, distance), string) sort key. *)
+(* Duplicator's reply order for Spoiler move [a]: the whole response
+   universe sorted by (identical response first, prefix/suffix status
+   penalty, length distance, String.compare) — Game.response_candidates'
+   heuristic score. The score is position-independent, so the order is
+   computed once per (side, move) and reused at every node. *)
 let build_candidates ~from_ ~to_ ~xmap a =
   let ft = Factor_bitset.size to_.fb in
-  let rbits = bits_for (max 1 (ft - 1)) in
   let la = Factor_bitset.length from_.fb a in
   let lf = from_.wlen and lt = to_.wlen in
   let apre = Factor_bitset.is_word_prefix from_.fb a in
   let asuf = Factor_bitset.is_word_suffix from_.fb a in
   let xa = xmap.(a) in
-  let arr =
+  (* dist <= lf + lt, so this orders (penalty, dist) lexicographically *)
+  let score =
     Array.init ft (fun r ->
-        let key =
-          if r = xa then 0
-          else
-            let lr = Factor_bitset.length to_.fb r in
-            let pen =
-              (if Factor_bitset.is_word_prefix to_.fb r = apre then 0 else 1)
-              + if Factor_bitset.is_word_suffix to_.fb r = asuf then 0 else 1
-            in
-            let mirror = abs (lt - lr - (lf - la)) in
-            let direct = abs (lr - la) in
-            let dist = if mirror < direct then mirror else direct in
-            1 + (((pen * (lf + lt + 1)) + dist) * ft) + to_.lexrank.(r)
-        in
-        (key lsl rbits) lor r)
+        if r = xa then -1
+        else
+          let lr = Factor_bitset.length to_.fb r in
+          let pen =
+            (if Factor_bitset.is_word_prefix to_.fb r = apre then 0 else 1)
+            + if Factor_bitset.is_word_suffix to_.fb r = asuf then 0 else 1
+          in
+          let dist = min (abs (lt - lr - (lf - la))) (abs (lr - la)) in
+          (pen * (lf + lt + 1)) + dist)
   in
-  Array.sort (fun (x : int) y -> compare x y) arr;
-  let mask = (1 lsl rbits) - 1 in
-  Array.map (fun v -> v land mask) arr
+  let arr = Array.init ft Fun.id in
+  Array.sort
+    (fun r r' ->
+      let c = compare score.(r) score.(r') in
+      if c <> 0 then c else compare to_.lexrank.(r) to_.lexrank.(r'))
+    arr;
+  arr
 
 let candidates st swap a =
   let tbl = if swap then st.cand_r else st.cand_l in
@@ -554,130 +610,134 @@ let candidates st swap a =
       tbl.(a) <- Some arr;
       arr
 
-(* Game.derived_candidates over ids: same patterns, same discovery order
-   (most recent play first, then constants in declaration order — the
-   boxed entries list), same dedup; responses that are not factors of
-   the target word are dropped here instead of by a post-filter, which
-   yields the same sequence. *)
-let derived st ar ~nconsts swap a =
-  let from_ = if swap then st.gr else st.gl in
-  let to_ = if swap then st.gl else st.gr in
-  let ffb = from_.fb and tfb = to_.fb in
+(* Forced Duplicator replies, oriented by [swap] (false: Spoiler moved
+   on the left). When the move [a] occurs in a concatenation pattern
+   with known (both-sides-defined) entries, triple-consistency
+   determines the reply: a = xi·xj forces yi·yj; xi = a·xj forces the
+   prefix of yi complementing yj; xi = xj·a forces the suffix; xi = a·a
+   forces the half of yi. Every other reply breaks one of those
+   triples, so restricting the scan to the forced value is exact.
+   Returns the forced id, -1 when unconstrained, and -2 when the
+   forcings conflict or fall outside the reply structure (no reply
+   preserves the position: the move refutes it). *)
+let forced st ar swap a =
+  let ffb = if swap then st.gr.fb else st.gl.fb in
+  let tfb = if swap then st.gl.fb else st.gr.fb in
   let len = Arena.len ar in
-  let nplayed = len - nconsts in
-  let idx t = if t < nplayed then len - 1 - t else t - nplayed in
-  let x_at t =
-    let i = idx t in
-    if swap then Arena.snd_at ar i else Arena.fst_at ar i
-  in
-  let y_at t =
-    let i = idx t in
-    if swap then Arena.fst_at ar i else Arena.snd_at ar i
-  in
+  let l = Arena.col_a ar and r = Arena.col_b ar in
+  let xs = if swap then r else l and ys = if swap then l else r in
   let la = Factor_bitset.length ffb a in
-  let out = ref [] in
-  let add r = if not (List.mem r !out) then out := r :: !out in
-  for ti = 0 to len - 1 do
-    let xi = x_at ti and yi = y_at ti in
-    if xi >= 0 && yi >= 0 then
-      for tj = 0 to len - 1 do
-        let xj = x_at tj and yj = y_at tj in
-        if xj >= 0 && yj >= 0 then begin
-          (* a = xi · xj  ⇒  respond yi · yj *)
-          if Factor_bitset.concat ffb xi xj = a then begin
-            let r = Factor_bitset.concat tfb yi yj in
-            if r >= 0 then add r
-          end;
-          let li = Factor_bitset.length ffb xi in
-          let lj = Factor_bitset.length ffb xj in
-          let lyi = Factor_bitset.length tfb yi in
-          let lyj = Factor_bitset.length tfb yj in
-          (* xi = a · xj  ⇒  respond yi with suffix yj removed *)
-          if
-            li = la + lj
-            && Factor_bitset.is_prefix_of ffb a xi
-            && Factor_bitset.is_suffix_of ffb xj xi
-            && Factor_bitset.is_suffix_of tfb yj yi
-          then add (Factor_bitset.sub_id tfb yi ~off:0 ~len:(lyi - lyj));
-          (* xi = xj · a  ⇒  respond yi with prefix yj removed *)
-          if
-            li = lj + la
-            && Factor_bitset.is_prefix_of ffb xj xi
-            && Factor_bitset.is_suffix_of ffb a xi
-            && Factor_bitset.is_prefix_of tfb yj yi
-          then add (Factor_bitset.sub_id tfb yi ~off:lyj ~len:(lyi - lyj))
-        end
-      done
-  done;
-  List.rev !out
+  let out = ref (-1) in
+  let force v =
+    if v < 0 then raise Exit
+    else if !out = -1 then out := v
+    else if !out <> v then raise Exit
+  in
+  try
+    for i = 0 to len - 1 do
+      let xi = xs.(i) and yi = ys.(i) in
+      if xi >= 0 && yi >= 0 then begin
+        let li = Factor_bitset.length ffb xi in
+        let lyi = Factor_bitset.length tfb yi in
+        if li = 2 * la && Factor_bitset.concat ffb a a = xi then begin
+          if lyi land 1 = 1 then raise Exit;
+          let h = Factor_bitset.sub_id tfb yi ~off:0 ~len:(lyi / 2) in
+          force (if Factor_bitset.concat tfb h h = yi then h else -1)
+        end;
+        for j = 0 to len - 1 do
+          let xj = xs.(j) and yj = ys.(j) in
+          if xj >= 0 && yj >= 0 then begin
+            let lj = Factor_bitset.length ffb xj in
+            let lyj = Factor_bitset.length tfb yj in
+            if la = li + lj && Factor_bitset.concat ffb xi xj = a then
+              force (Factor_bitset.concat tfb yi yj);
+            if
+              li = la + lj
+              && Factor_bitset.is_prefix_of ffb a xi
+              && Factor_bitset.is_suffix_of ffb xj xi
+            then
+              force
+                (if Factor_bitset.is_suffix_of tfb yj yi then
+                   Factor_bitset.sub_id tfb yi ~off:0 ~len:(lyi - lyj)
+                 else -1);
+            if
+              li = lj + la
+              && Factor_bitset.is_prefix_of ffb xj xi
+              && Factor_bitset.is_suffix_of ffb a xi
+            then
+              force
+                (if Factor_bitset.is_prefix_of tfb yj yi then
+                   Factor_bitset.sub_id tfb yi ~off:lyj ~len:(lyi - lyj)
+                 else -1)
+          end
+        done
+      end
+    done;
+    !out
+  with Exit -> -2
 
 let c3 fb x y z = x >= 0 && y >= 0 && z >= 0 && Factor_bitset.concat fb y z = x
 
-(* Partial_iso.extension_ok over ids: pairwise equality-pattern checks
-   of the new entry against every entry, then every concatenation triple
-   containing the new entry (index -1 below). *)
-let ext_ok st ar nl nr =
+(* Partial-isomorphism extension check over ids: pairwise equality
+   patterns of the new entry against every entry, then every
+   concatenation triple containing the new entry (index -1 below). With
+   [exist], preservation is one-directional (Existential's partial
+   homomorphism): left patterns must transfer to the right, and a ⊥ on
+   the left imposes nothing. *)
+let ext_ok st ar ~exist nl nr =
   let len = Arena.len ar in
   let rec pairs i =
     i >= len
-    || (nl = Arena.fst_at ar i) = (nr = Arena.snd_at ar i) && pairs (i + 1)
+    ||
+    let el = nl = Arena.fst_at ar i and er = nr = Arena.snd_at ar i in
+    (if exist then (not el) || er else el = er) && pairs (i + 1)
   in
   pairs 0
   &&
   let getl t = if t < 0 then nl else Arena.fst_at ar t in
   let getr t = if t < 0 then nr else Arena.snd_at ar t in
   let tri i j k =
-    c3 st.gl.fb (getl i) (getl j) (getl k)
-    = c3 st.gr.fb (getr i) (getr j) (getr k)
+    let cl = c3 st.gl.fb (getl i) (getl j) (getl k) in
+    if exist then (not cl) || c3 st.gr.fb (getr i) (getr j) (getr k)
+    else cl = c3 st.gr.fb (getr i) (getr j) (getr k)
   in
   let ok = ref true in
   let i = ref (-1) in
   while !ok && !i < len do
     let j = ref (-1) in
     while !ok && !j < len do
-      if
-        not (tri (-1) !i !j && tri !i (-1) !j && tri !i !j (-1))
-      then ok := false;
+      if not (tri (-1) !i !j && tri !i (-1) !j && tri !i !j (-1)) then
+        ok := false;
       incr j
     done;
     incr i
   done;
   !ok
 
-(* Existential.extension_ok: one-directional preservation (left patterns
-   must transfer to the right; the converse imposes nothing). *)
-let ext_ok_exist st ar nl nr =
-  let len = Arena.len ar in
-  let rec pairs i =
-    i >= len
-    || (Arena.fst_at ar i <> nl || Arena.snd_at ar i = nr) && pairs (i + 1)
+(* The shared-table key of the arena's current position. *)
+let position_key st ar ~nconsts =
+  let str fb i = Factor_bitset.extract fb i in
+  let pairs =
+    List.map
+      (fun (l, r) -> (str st.gl.fb l, str st.gr.fb r))
+      (Arena.to_list ~from:nconsts ar)
   in
-  pairs 0
-  &&
-  let getl t = if t < 0 then nl else Arena.fst_at ar t in
-  let getr t = if t < 0 then nr else Arena.snd_at ar t in
-  let tri i j k =
-    (not (c3 st.gl.fb (getl i) (getl j) (getl k)))
-    || c3 st.gr.fb (getr i) (getr j) (getr k)
-  in
-  let ok = ref true in
-  let i = ref (-1) in
-  while !ok && !i < len do
-    let j = ref (-1) in
-    while !ok && !j < len do
-      if
-        not (tri (-1) !i !j && tri !i (-1) !j && tri !i !j (-1))
-      then ok := false;
-      incr j
-    done;
-    incr i
-  done;
-  !ok
+  Position.key ~sigma:st.sigma
+    ~left:(Factor_bitset.word st.gl.fb)
+    ~right:(Factor_bitset.word st.gr.fb)
+    pairs
 
-(* The shared ∀∃ recursion. [exist] selects Existential's one-sided game
-   (Left moves only, directional extension check, no Obs metrics — the
-   boxed Existential emits none). *)
-let run st ~exist ~metrics ~nodes0 ~budget k0 =
+type memo = Pmemo.t
+
+let memo st = Pmemo.create ~pairbits:st.gbits
+let memo_size = Pmemo.size
+
+(* The ∀∃ recursion. [exist] selects Existential's one-sided game (Left
+   moves only, directional extension check, no Obs metrics). With
+   [cache], every node consults and feeds the shared table. [limit]
+   caps the unconstrained reply scan at the first [limit] candidates
+   (forced replies are always tried). *)
+let run st ~memo ~exist ?cache ~limit ~nodes0 ~budget ~init k0 =
   let s = scratch () in
   let ar = s.ar in
   Arena.reset ar;
@@ -685,9 +745,12 @@ let run st ~exist ~metrics ~nodes0 ~budget k0 =
   for i = 0 to nconsts - 1 do
     Arena.push ar st.consts_l.(i) st.consts_r.(i)
   done;
+  List.iter
+    (fun (l, r) -> Arena.push ar (id_of st.gl.fb l) (id_of st.gr.fb r))
+    init;
+  let metrics = not exist in
   let rbits = st.gbits - st.lbits in
   let nodes = ref nodes0 in
-  let memo = Pmemo.create ~k0 ~npairs_at:(fun k -> k0 - k) ~pairbits:st.gbits in
   let rec wins k =
     incr nodes;
     if metrics then Obs.Metrics.vec_incr m_nodes k;
@@ -695,9 +758,20 @@ let run st ~exist ~metrics ~nodes0 ~budget k0 =
     if k = 0 then true
     else
       let n = fill_sorted_pairs s ar ~nconsts ~rbits in
-      Pmemo.cached memo k s.keybuf n (fun () ->
-          if exist then spoiler false k
-          else spoiler false k && spoiler true k)
+      Pmemo.cached memo k s.keybuf n (fun () -> shared k)
+  and shared k =
+    match cache with
+    | None -> expand k
+    | Some c -> (
+        let key = position_key st ar ~nconsts in
+        match Cache.lookup c key ~k with
+        | Some r -> r
+        | None ->
+            let r = expand k in
+            (* limited-mode failures are not genuine Spoiler wins *)
+            if r || limit = max_int then Cache.store c key ~k r;
+            r)
+  and expand k = spoiler false k && (exist || spoiler true k)
   and spoiler swap k =
     let moves = if swap then st.moves_r else st.moves_l in
     let nmoves = Array.length moves in
@@ -714,25 +788,21 @@ let run st ~exist ~metrics ~nodes0 ~budget k0 =
       if d && metrics then Obs.Metrics.incr m_prune_dominated;
       d
     and survives a =
-      let d = derived st ar ~nconsts swap a in
-      let rec tryd = function
-        | [] ->
-            let cand = candidates st swap a in
-            let m = Array.length cand in
-            let rec rest i =
-              i < m
-              &&
-              let r = cand.(i) in
-              if List.mem r d then rest (i + 1)
-              else try_reply a r || rest (i + 1)
-            in
-            rest 0
-        | r :: more -> try_reply a r || tryd more
-      in
-      tryd d
+      match forced st ar swap a with
+      | -2 ->
+          if metrics then Obs.Metrics.incr m_prune_unsat;
+          false
+      | -1 ->
+          let cand = candidates st swap a in
+          let m = min limit (Array.length cand) in
+          let rec rest i = i < m && (try_reply a cand.(i) || rest (i + 1)) in
+          rest 0
+      | r ->
+          if metrics then Obs.Metrics.incr m_prune_forced;
+          try_reply a r
     and try_reply a r =
       let nl, nr = if swap then (r, a) else (a, r) in
-      (if exist then ext_ok_exist st ar nl nr else ext_ok st ar nl nr)
+      ext_ok st ar ~exist nl nr
       && begin
            Arena.push ar nl nr;
            let v = wins (k - 1) in
@@ -742,12 +812,13 @@ let run st ~exist ~metrics ~nodes0 ~budget k0 =
     in
     go 0
   in
-  let result = (try Some (wins k0) with Budget_exceeded -> None) in
-  (result, !nodes, Pmemo.size memo)
+  let result = try Some (wins k0) with Budget_exceeded -> None in
+  (result, !nodes)
 
-let run_general st ?(nodes0 = 0) ~budget k0 =
-  run st ~exist:false ~metrics:true ~nodes0 ~budget k0
+let solve_general st ~memo ?cache ~limit ~nodes0 ~budget ~init k0 =
+  run st ~memo ~exist:false ?cache ~limit ~nodes0 ~budget ~init k0
 
-let run_existential st ~budget k0 =
-  let r, _, _ = run st ~exist:true ~metrics:false ~nodes0:0 ~budget k0 in
-  r
+let solve_existential st ~budget k0 =
+  fst
+    (run st ~memo:(memo st) ~exist:true ~limit:max_int ~nodes0:0 ~budget
+       ~init:[] k0)

@@ -1,17 +1,19 @@
-(** The packed solver engine: succinct-representation replays of the
-    boxed searches in {!Unary}, {!Game} and {!Existential}.
+(** The solver engine: every ≡_k search of the library.
 
     Factors become suffix-automaton ids ({!Words.Factor_bitset}), game
     configurations live in a per-domain {!Arena}, and memo keys are
-    packed integers — but the search itself is a node-for-node mirror of
-    the boxed engine: same move order, same candidate order, same
-    pruning, same budget accounting, same shared-{!Cache} traffic and
-    Obs metrics. Verdict identity between the engines is load-bearing
-    (distributed scans merge verdicts monotonically; see DESIGN.md) and
-    is enforced by the identity suite in test/test_packed.ml, which also
-    checks the stronger node-count identity.
+    packed integers. There is one search per game shape: the arithmetic
+    unary search ({!solve_unary}) and the general ∀∃ recursion
+    ({!solve_general}, which also plays Existential's one-sided game).
+    Both prune dominated Spoiler moves (repeats of a played element) and
+    collapse the reply scan to the single reply a concatenation pattern
+    forces — or refute the move when the forcings conflict — which is
+    exact: every other reply breaks the partial isomorphism.
 
-    Engine selection is {!Repr}; dispatch lives in {!Game},
+    The contract is verdict identity with an independent brute-force
+    oracle built straight from the FC structure definition
+    (test/oracle.ml); distributed scans merge verdicts monotonically and
+    rely on it (see DESIGN.md). Dispatch lives in {!Game},
     {!Existential} and {!Witness}. *)
 
 exception Budget_exceeded
@@ -26,47 +28,78 @@ val solve_unary :
   init:(int * int) list ->
   int ->
   bool option * int * int
-(** Drop-in replacement for {!Unary.solve}: same signature, same
-    verdicts, same node counts, same shared-cache reads and writes.
-    Positions are arena entries instead of pair lists and local memo
-    keys are packed ints instead of hashed lists. *)
+(** [solve_unary ~p ~q ~init k]: can Duplicator win [k] more rounds of
+    the game on c^p vs c^q from the position given by the played [init]
+    pairs of lengths? Over one letter a factor is its length and every
+    concatenation pattern an additive equation, so this search never
+    allocates a string; its 1-round leaves are an exact closed form.
+    Requires [p ≥ 1] and [q ≥ 1] (so the letter constant is defined on
+    both sides). [limit] is the Duplicator candidate width ([max_int],
+    the default, is the full search; with a finite limit, [Some true]
+    stays sound and [Some false] only means the truncated search
+    failed). [store_depth] bounds the position depth (played pairs) at
+    which the shared [cache] is consulted and written — deeper nodes use
+    only the solve-local memo. Depth gating is a pure time/space
+    trade-off: within one solve the local memo already deduplicates,
+    and across solves only shallow positions are ever re-reachable, so
+    verdicts are unaffected. Returns [(result, nodes, memo_entries)];
+    [result] is [None] when the node [budget] is exhausted. *)
 
 (** {1 General (two-word) games} *)
 
 type gstate
-(** Packed solver state for a fixed (left, right, constants) instance:
-    both factor indexes, cross-word factor maps, move arrays and
-    memoized per-move candidate orders. Reusable across solves of the
-    same instance. *)
+(** Solver state for a fixed (left, right, constants) instance: both
+    factor indexes, cross-word factor maps, move arrays and memoized
+    per-move candidate orders. Reusable across solves of the same
+    instance on one domain (it holds unsynchronized memo tables). *)
 
 val make_gstate :
   Fc.Structure.t ->
   Fc.Structure.t ->
   (string option * string option) list ->
-  gstate option
-(** [None] when the instance exceeds the packed key budget (words or
-    factor sets too large to multiplex sort keys into an int) — callers
-    fall back to the boxed engine. Raises [Invalid_argument] if a
-    defined constant is not a factor of its word (boxed configs cannot
-    represent that either). *)
+  gstate
+(** Raises [Invalid_argument] if a defined constant is not a factor of
+    its word. *)
 
-val run_general :
-  gstate -> ?nodes0:int -> budget:int -> int -> bool option * int * int
-(** The seed {!Game} search from the empty position: [(verdict, nodes,
-    memo_entries)] with [nodes] counted on top of [nodes0] (so a
-    caller's running total threads through budget checks exactly as in
-    the boxed solver). [None] on budget exhaustion. *)
+type memo
+(** A position memo (rounds remaining × played pairs → verdict) that a
+    solver handle keeps across solves of one instance. Entries are exact
+    for the width they were computed under, so one memo must only serve
+    one Duplicator width. *)
 
-val run_existential :
-  gstate -> budget:int -> int -> bool option
-(** The one-sided {!Existential} search (Spoiler moves left only,
-    directional preservation). The caller performs Existential's
-    top-level [preserves consts] check; this is only the recursion. *)
+val memo : gstate -> memo
+val memo_size : memo -> int
+
+val solve_general :
+  gstate ->
+  memo:memo ->
+  ?cache:Cache.t ->
+  limit:int ->
+  nodes0:int ->
+  budget:int ->
+  init:(string * string) list ->
+  int ->
+  bool option * int
+(** [solve_general g ~memo ~budget ~init k]: can Duplicator win [k] more
+    rounds from the position where the [init] (left, right) pairs have
+    been played? The caller checks that the position is a partial
+    isomorphism; raises [Invalid_argument] when an element is not a
+    factor of its word. Returns [(verdict, nodes)] with [nodes] counted
+    on top of [nodes0] (so a handle's running total threads through the
+    budget check); [None] on budget exhaustion. With [cache] every node
+    consults and feeds the shared table ({!Position.key} keys); [limit]
+    caps the unconstrained reply scan ([max_int]: the full search;
+    forced replies are always tried), and a limited search stores only
+    Duplicator wins. *)
+
+val solve_existential : gstate -> budget:int -> int -> bool option
+(** The one-sided {!Existential} game from the constants: Spoiler moves
+    on the left only, preservation checked left to right. The caller
+    performs the top-level check of the constant vector. *)
 
 (** {1 Test hooks} *)
 
 val scratch_arena : unit -> Arena.t
-(** This domain's solve arena (shared by all packed solves on the
-    domain). Exposed so tests can assert the reuse discipline: resets
-    advance the generation, and no configuration survives across
-    solves. *)
+(** This domain's solve arena (shared by all solves on the domain).
+    Exposed so tests can assert the reuse discipline: resets advance the
+    generation, and no configuration survives across solves. *)

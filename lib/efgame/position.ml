@@ -91,18 +91,3 @@ let key_depth k =
     | 'U' -> count_char ';' k
     | 'G' -> count_char '\x02' k
     | _ -> 0
-
-type interner = { tbl : (string, int) Hashtbl.t; mutable next : int }
-
-let interner () = { tbl = Hashtbl.create 64; next = 0 }
-
-let intern t k =
-  match Hashtbl.find_opt t.tbl k with
-  | Some id -> id
-  | None ->
-      let id = t.next in
-      t.next <- id + 1;
-      Hashtbl.add t.tbl k id;
-      id
-
-let interned t = t.next

@@ -47,16 +47,3 @@ val key_depth : key -> int
     Used by {!Persist} to snapshot only the shallow, high-reuse layers of
     a table, and by the scan engines to skip table traffic for deep
     nodes. *)
-
-(** {1 Hash-consing}
-
-    A per-solver interner mapping keys to dense integer ids, so local
-    memo tables can key on ints. Not domain-safe: each solver (and each
-    parallel worker) owns its interner. *)
-
-type interner
-
-val interner : unit -> interner
-val intern : interner -> key -> int
-val interned : interner -> int
-(** Number of distinct keys seen. *)

@@ -34,16 +34,15 @@ let verdict_of_result = function
 
 (* Decide [a^p ≡_k a^q] under the given engine, also reporting the number
    of search nodes expanded. Cached/Parallel engines take the arithmetic
-   fast path ({!Unary.solve}) whenever both words are nonempty, skipping
-   [Game.make] entirely; pairs involving ε fall back to the general
-   solver (with the transposition table when present). [store_depth]
-   bounds the depth at which the shared table is touched (see
-   {!Unary.solve}); it never affects verdicts. *)
-let decide_pair_counted ?budget ?(engine = Seed) ?(store_depth = max_int) ?repr
-    ~k p q =
+   search ({!Packed.solve_unary}) whenever both words are nonempty,
+   skipping [Game.make] entirely; pairs involving ε fall back to the
+   general solver (with the transposition table when present).
+   [store_depth] bounds the depth at which the shared table is touched
+   (see {!Packed.solve_unary}); it never affects verdicts. *)
+let decide_pair_counted ?budget ?(engine = Seed) ?(store_depth = max_int) ~k p q =
   let general ?cache () =
     let verdict, st =
-      Game.decide_with_stats ?budget ?cache ?repr (Game.make (unary p) (unary q)) k
+      Game.decide_with_stats ?budget ?cache (Game.make (unary p) (unary q)) k
     in
     (verdict, st.Game.nodes)
   in
@@ -52,27 +51,24 @@ let decide_pair_counted ?budget ?(engine = Seed) ?(store_depth = max_int) ?repr
   | Cached cache | Parallel (cache, _) ->
       if p >= 1 && q >= 1 then
         let budget = Option.value budget ~default:50_000_000 in
-        let solve =
-          match (match repr with Some r -> r | None -> Repr.default ()) with
-          | Repr.Packed -> Packed.solve_unary
-          | Repr.Boxed -> Unary.solve
+        let r, nodes, _ =
+          Packed.solve_unary ~cache ~store_depth ~budget ~p ~q ~init:[] k
         in
-        let r, nodes, _ = solve ~cache ~store_depth ~budget ~p ~q ~init:[] k in
         (verdict_of_result r, nodes)
       else general ~cache ()
 
-let decide_pair ?budget ?engine ?store_depth ?repr ~k p q =
-  fst (decide_pair_counted ?budget ?engine ?store_depth ?repr ~k p q)
+let decide_pair ?budget ?engine ?store_depth ~k p q =
+  fst (decide_pair_counted ?budget ?engine ?store_depth ~k p q)
 
 (* Monotonicity prefilter: Duplicator surviving k rounds survives any
    prefix of the play, so ≡_k ⊆ ≡_j for every j < k. Testing the cheap
    low-round games first refutes most pairs long before the k-round
    search runs; every skip is justified by an exact Not_equiv verdict,
    so exhaustive-scan claims remain sound. *)
-let check_chain_counted ?budget ~engine ?store_depth ?repr ~k p q =
+let check_chain_counted ?budget ~engine ?store_depth ~k p q =
   let nodes = ref 0 in
   let decide k' =
-    let v, n = decide_pair_counted ?budget ~engine ?store_depth ?repr ~k:k' p q in
+    let v, n = decide_pair_counted ?budget ~engine ?store_depth ~k:k' p q in
     nodes := !nodes + n;
     v
   in
@@ -113,7 +109,7 @@ let pair_of_index t =
   (t - (!q * (!q - 1) / 2), !q)
 
 (* The cache key a scan's pair verdict lands under: the unary fast path
-   ({!Unary.solve}) keys on lengths alone; ε pairs go through the general
+   ({!Packed.solve_unary}) keys on lengths alone; ε pairs go through the general
    game, whose alphabet for a^0 vs a^q is the singleton ['a']. Exposed so
    an auditor can read a merged table's verdicts without a solver run. *)
 let pair_key p q =
@@ -142,7 +138,7 @@ let cache_counters engine =
       (s.Cache.hits, s.Cache.misses)
 
 let scan ?budget ?(engine = Seed) ?(store_depth = 0) ?range ?on_q ?on_tick
-    ?stop ?repr ~k ~max_n () =
+    ?stop ~k ~max_n () =
   let total = max_n * (max_n + 1) / 2 in
   let lo, hi = match range with None -> (0, total) | Some (lo, hi) -> (lo, hi) in
   if lo < 0 || hi > total || lo > hi then
@@ -173,7 +169,7 @@ let scan ?budget ?(engine = Seed) ?(store_depth = 0) ?range ?on_q ?on_tick
         ~args:(fun () -> [ ("p", Obs.Trace.I p); ("q", Obs.Trace.I q) ])
         (fun () ->
           Obs.Metrics.time m_pair_ns (fun () ->
-              check_chain_counted ?budget ~engine ~store_depth ?repr ~k p q))
+              check_chain_counted ?budget ~engine ~store_depth ~k p q))
     in
     ignore (Atomic.fetch_and_add nodes n);
     match v with
@@ -222,8 +218,8 @@ let scan ?budget ?(engine = Seed) ?(store_depth = 0) ?range ?on_q ?on_tick
   in
   (outcome, stats)
 
-let minimal_pair ?budget ?engine ?on_q ?repr ~k ~max_n () =
-  fst (scan ?budget ?engine ?on_q ?repr ~k ~max_n ())
+let minimal_pair ?budget ?engine ?on_q ~k ~max_n () =
+  fst (scan ?budget ?engine ?on_q ~k ~max_n ())
 
 (* ------------------------------------------------------------------ *)
 (* Class decomposition: place each item against the current

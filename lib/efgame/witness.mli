@@ -11,7 +11,7 @@ type engine =
   | Seed  (** the original memoized search, no transposition table *)
   | Cached of Cache.t
       (** transposition-table-backed search; unary pairs dispatch to the
-          arithmetic fast path ({!Unary.solve}) directly *)
+          arithmetic search ({!Packed.solve_unary}) directly *)
   | Parallel of Cache.t * int
       (** like [Cached], but scans steal pair-granularity chunks of the
           (p, q) triangle across the given number of worker domains
@@ -45,7 +45,6 @@ val scan :
   ?on_q:(int -> unit) ->
   ?on_tick:(completed:int -> unit) ->
   ?stop:(unit -> bool) ->
-  ?repr:Repr.t ->
   k:int ->
   max_n:int ->
   unit ->
@@ -62,7 +61,7 @@ val scan :
     index still completes, so the reported pair is minimal among exact
     verdicts. [store_depth] (default 0: top-level pair verdicts only)
     bounds the position depth at which pair solves touch the shared
-    table — verdict-neutral, see {!Unary.solve}. Depth 0 is the sweet
+    table — verdict-neutral, see {!Packed.solve_unary}. Depth 0 is the sweet
     spot for scans: within a cold scan deeper entries are never
     re-reachable (keys embed the pair), while the pair-level verdicts
     are exactly what a warm restart replays against.
@@ -88,17 +87,12 @@ val scan :
     checkpoints ({!Persist.save}). [stop] is polled at item granularity;
     once it returns true the scan winds down cooperatively and the
     outcome is [Interrupted] — the signal/deadline hook for crash-safe
-    checkpoint-then-exit.
-
-    [?repr] selects the solver engine for every pair decided by the scan
-    (default {!Repr.default}); verdict tables are bit-identical across
-    engines — the engine-equivalence CI job asserts exactly this. *)
+    checkpoint-then-exit. *)
 
 val minimal_pair :
   ?budget:int ->
   ?engine:engine ->
   ?on_q:(int -> unit) ->
-  ?repr:Repr.t ->
   k:int ->
   max_n:int ->
   unit ->

@@ -2,7 +2,7 @@
    suffix automaton's end-position classes, with factor-set membership,
    concatenation and affix queries all answered by automaton walks over
    the original word — no substring is ever materialized on a query
-   path. The packed solver engine ({!Efgame.Packed}) manipulates factors
+   path. The solver engine ({!Efgame.Packed}) manipulates factors
    exclusively through these ids. *)
 
 type t = {

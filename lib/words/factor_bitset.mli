@@ -7,9 +7,8 @@
     — membership, concatenation, affix tests — are automaton walks or
     character comparisons against the original word; no query ever
     allocates a substring. This is the factor representation of the
-    packed solver engine ({!Efgame.Packed}); the explicit string-keyed
-    {!Factors} set remains the boxed engine's representation, and the two
-    are differentially tested against each other.
+    solver engine ({!Efgame.Packed}); the explicit string-keyed
+    {!Factors} set is differentially tested against it.
 
     Ids are {e not} ordered by length or lexicographically (they follow
     automaton state numbering); callers needing a semantic order sort ids

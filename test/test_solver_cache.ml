@@ -96,7 +96,7 @@ let test_unary_closed_form_agrees () =
       for q = p to 18 do
         let seed = Game.equiv (unary p) (unary q) k in
         let fast =
-          match Unary.solve ~p ~q ~init:[] k with
+          match Packed.solve_unary ~p ~q ~init:[] k with
           | Some true, _, _ -> Game.Equiv
           | Some false, _, _ -> Game.Not_equiv
           | None, _, _ -> Game.Unknown
@@ -219,10 +219,9 @@ let prop_engines_agree =
       seed = cached && seed = par)
 
 let prop_packed_key_canonical =
-  (* The packed engine memoizes on Position.unary_key_packed while the
-     boxed engine uses the string Position.unary_key; soundness of the
-     shared-verdict contract requires the two encodings to induce the
-     same equivalence on positions. Small ranges keep genuine key
+  (* Position.unary_key_packed and the string Position.unary_key must
+     induce the same equivalence on positions, so either can key a
+     table without changing its collision structure. Small ranges keep genuine key
      collisions frequent so both directions of the iff get exercised. *)
   let arb_position =
     let gen =
@@ -261,7 +260,7 @@ let prop_unary_fast_path =
     (fun (p, q, k) ->
       let seed = Game.equiv (unary p) (unary q) k in
       let fast =
-        match Unary.solve ~p ~q ~init:[] k with
+        match Packed.solve_unary ~p ~q ~init:[] k with
         | Some true, _, _ -> Game.Equiv
         | Some false, _, _ -> Game.Not_equiv
         | None, _, _ -> Game.Unknown
