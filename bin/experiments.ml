@@ -592,7 +592,7 @@ let e17 () =
 let e18 () =
   let doc = "xxacheiveyybeginingzzacheive" in
   let f = Spanner.Regex_formula.parse_exn "x{acheive|begining}" in
-  let hits = Spanner.Regex_formula.matches_anywhere f doc in
+  let hits = Spanner.Algebra.matches_anywhere f doc in
   let eq_halves =
     Spanner.Algebra.Select_eq
       ("x", "y", Spanner.Algebra.Extract (Spanner.Regex_formula.parse_exn "x{(a|b)+}y{(a|b)+}"))

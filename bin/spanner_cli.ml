@@ -72,21 +72,9 @@ let run extract docs anywhere select_eq select_rel =
       List.iter
         (fun doc ->
           let result =
-            if anywhere then
-              Spanner.Algebra.eval
-                (match expr with
-                | Spanner.Algebra.Extract f ->
-                    Spanner.Algebra.Extract
-                      (Spanner.Regex_formula.Cat
-                         ( Spanner.Regex_formula.of_regex
-                             (Regex_engine.Regex.all_words (Words.Word.alphabet doc)),
-                           Spanner.Regex_formula.Cat
-                             ( f,
-                               Spanner.Regex_formula.of_regex
-                                 (Regex_engine.Regex.all_words (Words.Word.alphabet doc)) ) ))
-                | e -> e)
-                doc
-            else Spanner.Algebra.eval expr doc
+            match expr with
+            | Spanner.Algebra.Extract f when anywhere -> Spanner.Algebra.matches_anywhere f doc
+            | e -> Spanner.Algebra.eval e doc
           in
           Format.printf "%s: %a@." doc (Spanner.Relation.pp ~doc) result)
         docs;

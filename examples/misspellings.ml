@@ -12,7 +12,7 @@ let () =
 
   (* γ(x) = Σ* · x{acheive ∨ begining ∨ wether} · Σ* *)
   let gamma = Spanner.Regex_formula.parse_exn "x{acheive|begining|wether}" in
-  let occurrences = Spanner.Regex_formula.matches_anywhere gamma document in
+  let occurrences = Spanner.Algebra.matches_anywhere gamma document in
   Format.printf "γ extracts %d spans:@." (Spanner.Relation.cardinality occurrences);
   Format.printf "  %a@.@." (Spanner.Relation.pp ~doc:document) occurrences;
 

@@ -55,13 +55,20 @@ let rec is_generalized_core = function
 
 let rec eval e doc =
   match e with
-  | Extract f -> Regex_formula.eval f doc
+  | Extract f ->
+      if not (Regex_formula.is_functional f) then
+        invalid_arg "Algebra.eval: regex formula is not functional";
+      Vset_automaton.eval (Vset_automaton.of_regex_formula f) doc
   | Union (a, b) -> Relation.union (eval a doc) (eval b doc)
   | Project (vars, a) -> Relation.project vars (eval a doc)
   | Join (a, b) -> Relation.natural_join (eval a doc) (eval b doc)
   | Diff (a, b) -> Relation.diff (eval a doc) (eval b doc)
   | Select_eq (x, y, a) -> Relation.select_string_eq ~doc x y (eval a doc)
   | Select_rel (r, vars, a) -> Relation.select_word_rel ~doc (Selectable.holds r) vars (eval a doc)
+
+let matches_anywhere formula doc =
+  let wild = Regex_formula.of_regex (Regex_engine.Regex.all_words (Words.Word.alphabet doc)) in
+  eval (Extract (Regex_formula.Cat (wild, Regex_formula.Cat (formula, wild)))) doc
 
 let define_language e doc = not (Relation.is_empty (eval e doc))
 let selected_words e ~vars doc = Relation.to_word_tuples ~doc ~vars (eval e doc)

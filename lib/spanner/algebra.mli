@@ -30,7 +30,14 @@ val is_generalized_core : expr -> bool
 (** No ζ^R (difference allowed). *)
 
 val eval : expr -> string -> Relation.t
-(** Evaluate over a document. *)
+(** Evaluate over a document. Each [Extract] is compiled to a
+    {!Vset_automaton} and evaluated by its run search; the operators above
+    it act on the extracted relations. Raises [Invalid_argument] on a
+    non-functional regex formula. *)
+
+val matches_anywhere : Regex_formula.t -> string -> Relation.t
+(** Evaluates [Extract (Σ* · γ · Σ* )] over the document's own alphabet,
+    i.e. finds every occurrence of γ as a factor, with γ's bindings. *)
 
 val define_language : expr -> string -> bool
 (** A Boolean spanner (empty schema) defines a language: w ∈ L iff the

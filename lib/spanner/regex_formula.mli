@@ -3,7 +3,8 @@
 
     A regex formula is {e functional} when every way of matching the whole
     document binds every variable exactly once (Fagin et al.); only
-    functional formulas are evaluated. The introduction's example is
+    functional formulas are evaluated (by {!Algebra.eval}, on a compiled
+    {!Vset_automaton}). The introduction's example is
     [Σ* · x{acheive ∨ beginning ∨ …} · Σ*]. *)
 
 type t =
@@ -22,14 +23,6 @@ val is_functional : t -> bool
 (** Syntactic functionality: both branches of every ∨ bind the same
     variables, concatenations bind disjoint sets, starred subformulas and
     rebindings bind none. *)
-
-val eval : t -> string -> Relation.t
-(** All matches of the whole document: one row per span assignment. Raises
-    [Invalid_argument] when the formula is not functional. *)
-
-val matches_anywhere : t -> string -> Relation.t
-(** Convenience: evaluates [Σ* · γ · Σ*] over the document's own alphabet,
-    i.e. finds every occurrence of γ as a factor, with γ's bindings. *)
 
 val of_regex : Regex_engine.Regex.t -> t
 (** Variable-free embedding. *)

@@ -1,4 +1,10 @@
 type label = Read of char | Open of string | Close of string
+type kind = Step | Eps | Opens | Closes
+
+(* Edges grouped by source: those of q are [first.(q) .. first.(q+1) - 1];
+   [arg] is the letter's code for a Step, the variable's index in [vars]
+   for Opens/Closes. *)
+type edges = { first : int array; kind : kind array; arg : int array; target : int array }
 
 type t = {
   states : int;
@@ -6,16 +12,38 @@ type t = {
   accepting : int list;
   transitions : (int * label * int) list;
   vars : string list;
+  final : bool array;
+  edges : edges;
 }
 
-let vars_of_transitions transitions =
-  (* the empty variable name encodes ε-moves and is not a variable *)
-  List.filter_map
-    (function
-      | _, Open x, _ | _, Close x, _ -> if x = "" then None else Some x
-      | _, Read _, _ -> None)
-    transitions
-  |> List.sort_uniq String.compare
+module Itbl = Hashtbl.Make (Int)
+
+(* the empty variable name encodes ε-moves and is not a variable *)
+let op_var = function Open x | Close x -> if x = "" then None else Some x | Read _ -> None
+
+let compile ~states ~start ~accepting ~transitions ~vars =
+  let first = Array.make (states + 1) 0 in
+  List.iter (fun (q, _, _) -> first.(q + 1) <- first.(q + 1) + 1) transitions;
+  for q = 1 to states do
+    first.(q) <- first.(q) + first.(q - 1)
+  done;
+  let m = List.length transitions and next = Array.copy first in
+  let kind = Array.make m Eps and arg = Array.make m 0 and target = Array.make m 0 in
+  let index x = List.length (List.filter (fun y -> y < x) vars) in
+  List.iter
+    (fun (q, l, q') ->
+      let e = next.(q) in
+      next.(q) <- e + 1;
+      target.(e) <- q';
+      match l with
+      | Read c -> (kind.(e) <- Step; arg.(e) <- Char.code c)
+      | Open "" | Close "" -> ()
+      | Open x -> (kind.(e) <- Opens; arg.(e) <- index x)
+      | Close x -> (kind.(e) <- Closes; arg.(e) <- index x))
+    transitions;
+  let final = Array.make states false in
+  List.iter (fun q -> final.(q) <- true) accepting;
+  { states; start; accepting; transitions; vars; final; edges = { first; kind; arg; target } }
 
 let make ~states ~start ~accepting ~transitions =
   let check_state q =
@@ -28,7 +56,8 @@ let make ~states ~start ~accepting ~transitions =
       check_state q;
       check_state q')
     transitions;
-  { states; start; accepting; transitions; vars = vars_of_transitions transitions }
+  let vars = List.sort_uniq String.compare (List.filter_map (fun (_, l, _) -> op_var l) transitions) in
+  compile ~states ~start ~accepting ~transitions ~vars
 
 let states t = t.states
 let start t = t.start
@@ -87,78 +116,95 @@ let of_regex_formula formula =
         (i, o)
   in
   let entry, exit_ = build formula in
-  {
-    states = !count;
-    start = entry;
-    accepting = [ exit_ ];
-    transitions = !transitions;
-    vars = Regex_formula.vars formula;
-  }
+  compile ~states:!count ~start:entry ~accepting:[ exit_ ] ~transitions:!transitions
+    ~vars:(Regex_formula.vars formula)
 
-(* Variable status during a run. *)
-type status = Unseen | Opened of int | Closed of Span.t
-
-let adjacency t =
-  let out = Array.make t.states [] in
-  List.iter (fun (q, l, q') -> out.(q) <- (l, q') :: out.(q)) t.transitions;
-  out
-
+(* Depth-first search over configurations (state, position, node), where
+   [node] names the run's variable operations so far in a hash-consed trie;
+   each configuration is visited once, which also cuts ε-cycles. The
+   visited set is a bitset over [(node · (n+1) + pos) · states + state]. *)
 let eval_runs t doc =
-  let n = String.length doc in
-  let out = adjacency t in
-  let runs = ref [] in
-  (* DFS over (state, position, statuses). ε-moves (Open "") do not change
-     statuses; Open/Close are ε in the document. Cycles of pure ε-moves are
-     possible through Star, so we track an on-path visited set for ε-closure
-     at a fixed position. Identical (state, pos, statuses) branches are
-     deduplicated globally — the runs they produce are indistinguishable at
-     the relation level. *)
-  let visited = Hashtbl.create 1024 in
-  let rec go state pos statuses seen =
-    if not (Hashtbl.mem visited (state, pos, statuses)) then begin
-      Hashtbl.add visited (state, pos, statuses) ();
-      if pos = n && List.mem state t.accepting then runs := statuses :: !runs;
-      List.iter
-        (fun (l, q') ->
-          match l with
-          | Read c -> if pos < n && doc.[pos] = c then go q' (pos + 1) statuses []
-          | Open "" ->
-              if not (List.mem (q', pos) seen) then go q' pos statuses ((state, pos) :: seen)
-          | Open x -> (
-              match List.assoc x statuses with
-              | Unseen -> go q' pos ((x, Opened pos) :: List.remove_assoc x statuses) []
-              | Opened _ | Closed _ -> ())
-          | Close x -> (
-              match List.assoc x statuses with
-              | Opened i ->
-                  go q' pos ((x, Closed (Span.make i pos)) :: List.remove_assoc x statuses) []
-              | Unseen | Closed _ -> ()))
-        out.(state)
+  let n = String.length doc and g = t.edges in
+  let per_node = (n + 1) * t.states and nops = 2 * List.length t.vars in
+  (* trie node u > 0 extends prefix [trie.(3u)] by operation [trie.(3u+1)]
+     (2x for ⊢x, 2x+1 for x⊣) at position [trie.(3u+2)]; node 0 is empty *)
+  let trie = ref (Array.make 96 0) and nodes = ref 1 in
+  let child = Itbl.create 64 in
+  let seen = ref (Bytes.make (per_node + 1) '\000') in
+  let stack = ref (Array.make 64 0) and top = ref 0 in
+  let grow a used = if used >= Array.length !a then a := Array.append !a !a in
+  let push state pos node =
+    let c = (((node * (n + 1)) + pos) * t.states) + state in
+    let byte = Char.code (Bytes.get !seen (c lsr 3)) and bit = 1 lsl (c land 7) in
+    if byte land bit = 0 then begin
+      Bytes.set !seen (c lsr 3) (Char.chr (byte lor bit));
+      grow stack (!top + 2);
+      !stack.(!top) <- state;
+      !stack.(!top + 1) <- pos;
+      !stack.(!top + 2) <- node;
+      top := !top + 3
     end
   in
-  let init = List.map (fun x -> (x, Unseen)) t.vars in
-  go t.start 0 init [];
-  !runs
-
-let complete_rows t runs =
+  let extend node op pos =
+    let key = (((node * nops) + op) * (n + 1)) + pos in
+    match Itbl.find_opt child key with
+    | Some u -> u
+    | None ->
+        let u = !nodes in
+        incr nodes;
+        grow trie ((3 * u) + 2);
+        !trie.(3 * u) <- node;
+        !trie.((3 * u) + 1) <- op;
+        !trie.((3 * u) + 2) <- pos;
+        let cap = Bytes.length !seen in
+        if ((u + 1) * per_node / 8) + 1 > cap then begin
+          let wider = Bytes.make (2 * cap) '\000' in
+          Bytes.blit !seen 0 wider 0 cap;
+          seen := wider
+        end;
+        Itbl.add child key u;
+        u
+  in
+  (* the last operation on variable x along node's path, -1 if none *)
+  let rec last_op node x =
+    if node = 0 then -1
+    else
+      let op = !trie.((3 * node) + 1) in
+      if op lsr 1 = x then op else last_op !trie.(3 * node) x
+  in
+  let runs = ref [] in
+  push t.start 0 0;
+  while !top > 0 do
+    top := !top - 3;
+    let state = !stack.(!top) and pos = !stack.(!top + 1) and node = !stack.(!top + 2) in
+    if pos = n && t.final.(state) then runs := node :: !runs;
+    for e = g.first.(state) to g.first.(state + 1) - 1 do
+      let q' = g.target.(e) and x = g.arg.(e) in
+      match g.kind.(e) with
+      | Eps -> push q' pos node
+      | Step -> if pos < n && Char.code doc.[pos] = x then push q' (pos + 1) node
+      | Opens -> if last_op node x = -1 then push q' pos (extend node (2 * x) pos)
+      | Closes -> if last_op node x = 2 * x then push q' pos (extend node ((2 * x) + 1) pos)
+    done
+  done;
+  (* a run's row: spans read off its trie path; runs that do not open and
+     close every variable give none *)
   List.filter_map
-    (fun statuses ->
-      let cells =
-        List.filter_map
-          (fun x ->
-            match List.assoc x statuses with Closed s -> Some (x, s) | _ -> None)
-          t.vars
+    (fun node ->
+      let left = Array.make (nops / 2) 0 and right = Array.make (nops / 2) 0 in
+      let rec walk u ops =
+        if u = 0 then ops
+        else
+          let op = !trie.((3 * u) + 1) in
+          (if op land 1 = 0 then left else right).(op lsr 1) <- !trie.((3 * u) + 2);
+          walk !trie.(3 * u) (ops + 1)
       in
-      if List.length cells = List.length t.vars then Some cells else None)
-    runs
+      if walk node 0 <> nops then None
+      else Some (List.init (nops / 2) (fun x -> Span.make left.(x) right.(x))))
+    !runs
 
-let eval t doc =
-  let rows = complete_rows t (eval_runs t doc) in
-  match rows with
-  | [] -> Relation.empty t.vars
-  | _ -> Relation.of_assoc rows
-
-let run_count t doc = List.length (complete_rows t (eval_runs t doc))
+let eval t doc = Relation.make ~schema:t.vars (eval_runs t doc)
+let run_count t doc = List.length (eval_runs t doc)
 
 let is_functional t =
   (* abstract statuses: per variable Unseen/Opened/Closed (no positions);

@@ -4,8 +4,10 @@
     A vset-automaton is an NFA whose transitions are either letter reads or
     variable operations ⊢x (open) and x⊣ (close); an accepting run over a
     document assigns each variable the span between its open and close
-    operations. Regex formulas compile into vset-automata (Thompson-style),
-    and the two evaluators are differentially tested against each other. *)
+    operations. Regex formulas compile into vset-automata (Thompson-style);
+    {!eval} is the library's only regex-formula evaluator (every
+    [Algebra.Extract] runs on it) and is tested against a brute-force
+    reference matcher. *)
 
 type label =
   | Read of char
@@ -31,16 +33,18 @@ val of_regex_formula : Regex_formula.t -> t
 
 val eval : t -> string -> Relation.t
 (** All accepting runs over the whole document, as a span relation over the
-    automaton's variables. Runs that open a variable and never close it (or
-    never open it) do not produce rows. Raises [Invalid_argument] when
-    different accepting runs bind different variable sets (non-functional
-    use); check {!is_functional} first. *)
+    automaton's variables. A depth-first search over configurations
+    (state, position, variable operations so far), each visited once.
+    Runs that do not open and close every variable produce no row, so a
+    non-functional automaton silently loses rows rather than raising;
+    check {!is_functional} (or [Regex_formula.is_functional]) first. *)
 
 val is_functional : t -> bool
 (** Every accepting run opens and closes every variable exactly once
     (decided by reachability over variable-status abstractions). *)
 
 val run_count : t -> string -> int
-(** Number of distinct accepting configurations (the evaluator merges
-    branches that reach the same state with the same variable statuses, so
-    syntactically duplicated paths count once). *)
+(** Number of accepting configurations that open and close every
+    variable (the evaluator merges branches that reach the same state with
+    the same sequence of variable operations, so syntactically duplicated
+    paths count once). *)

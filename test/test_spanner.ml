@@ -63,19 +63,25 @@ let test_regex_formula_parse () =
 
 let test_regex_formula_eval () =
   let f = Regex_formula.parse_exn "x{a*}y{(ba)*}" in
-  let rel = Regex_formula.eval f "aaba" in
+  let rel = Algebra.eval (Algebra.Extract f) "aaba" in
   Alcotest.(check (list (list string)))
     "unique decomposition"
     [ [ "aa"; "ba" ] ]
     (Relation.to_word_tuples ~doc:"aaba" ~vars:[ "x"; "y" ] rel);
   let g = Regex_formula.parse_exn "x{(a|b)*}y{(a|b)*}" in
-  check_int "all splits" 4 (Relation.cardinality (Regex_formula.eval g "aba"))
+  check_int "all splits" 4 (Relation.cardinality (Algebra.eval (Algebra.Extract g) "aba"))
+
+let test_non_functional_extract () =
+  (* the automaton alone would silently drop the run that skips x *)
+  Alcotest.check_raises "x{a}|b"
+    (Invalid_argument "Algebra.eval: regex formula is not functional") (fun () ->
+      ignore (Algebra.eval (Algebra.Extract (Regex_formula.parse_exn "x{a}|b")) "b"))
 
 let test_misspelling_scenario () =
   (* the introduction's extractor: Σ* · x{acheive ∨ begining} · Σ* *)
   let f = Regex_formula.parse_exn "x{acheive|begining}" in
   let doc = "iacheiveandbegining" in
-  let rel = Regex_formula.matches_anywhere f doc in
+  let rel = Algebra.matches_anywhere f doc in
   Alcotest.(check (list (list string)))
     "found misspellings"
     [ [ "acheive" ]; [ "begining" ] ]
@@ -141,6 +147,7 @@ let tests =
       Alcotest.test_case "string-equality selection" `Quick test_string_eq_selection;
       Alcotest.test_case "regex formula parsing" `Quick test_regex_formula_parse;
       Alcotest.test_case "regex formula evaluation" `Quick test_regex_formula_eval;
+      Alcotest.test_case "non-functional extract raises" `Quick test_non_functional_extract;
       Alcotest.test_case "misspelling scenario" `Quick test_misspelling_scenario;
       Alcotest.test_case "algebra" `Quick test_algebra;
       Alcotest.test_case "custom selections" `Quick test_select_rel;
