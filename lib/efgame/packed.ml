@@ -16,6 +16,12 @@
    - memo keys pack the sorted played pairs into one OCaml int behind a
      sentinel bit whenever they fit in 62 bits, falling back to
      int-array keys;
+   - a unary node's concatenation patterns are one O(len²) pattern map
+     per side (value -> the reply it forces), built once per node into
+     stamped per-domain slots; extension checks, forced replies and the
+     1-round closed form are lookups in it, and 1-round leaves skip the
+     memo. A lookup decides exactly what checking each pattern would, so
+     the map sets the cost of a node, not which nodes are visited;
    - shared-{!Cache} traffic uses {!Position} string keys, so table
      bytes and the persistence format do not depend on the in-memory
      representation. *)
@@ -38,20 +44,32 @@ let bits_for v =
   max 1 (go 0)
 
 (* ------------------------------------------------------------------ *)
-(* Per-domain scratch: one arena and one sort buffer, reused across
-   every solve on this domain. Solves reset the arena on entry and are
-   not reentrant, so stack discipline guarantees no state leaks from one
-   solve into the next (asserted by the arena-reuse tests). *)
+(* Per-domain scratch: one arena, one sort buffer and the unary pattern
+   maps, reused across every solve on this domain. Solves reset the
+   arena on entry and are not reentrant, so stack discipline guarantees
+   no state leaks from one solve into the next (asserted by the
+   arena-reuse tests); map slots are stamped with a generation that
+   only ever grows, so no stale slot reads as live. *)
 
 type scratch = {
   ar : Arena.t;
   mutable keybuf : int array;
-  mutable w1buf : int array; (* closure values for the 1-round closed form *)
+  mutable stamp : int array; (* pattern-map slot -> generation *)
+  mutable fwd : int array; (* pattern-map slot -> forced reply *)
+  mutable gen : int; (* stamp of the last build *)
+  mutable clash : bool; (* the last build mapped a conflict *)
 }
 
 let scratch_key =
   Domain.DLS.new_key (fun () ->
-      { ar = Arena.create (); keybuf = Array.make 16 0; w1buf = Array.make 64 0 })
+      {
+        ar = Arena.create ();
+        keybuf = Array.make 16 0;
+        stamp = [||];
+        fwd = [||];
+        gen = 0;
+        clash = false;
+      })
 
 let scratch () = Domain.DLS.get scratch_key
 let scratch_arena () = (scratch ()).ar
@@ -60,8 +78,11 @@ let ensure_keybuf s n =
   if Array.length s.keybuf < n then
     s.keybuf <- Array.make (max 16 (2 * n)) 0
 
-let ensure_w1buf s n =
-  if Array.length s.w1buf < n then s.w1buf <- Array.make (max 64 (2 * n)) 0
+let ensure_maps s slots =
+  if Array.length s.stamp < slots then begin
+    s.stamp <- Array.make slots 0;
+    s.fwd <- Array.make slots 0
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Position memo: one table per remaining-round count, grown on demand
@@ -152,8 +173,6 @@ let fill_sorted_pairs s ar ~nconsts ~rbits =
    1): a factor is its length and every concatenation pattern is an
    additive equation. *)
 
-exception Unsat
-
 (* Spoiler move order: refuting moves cluster at the top of the range
    (the whole-word and near-whole-word factors) and at the small end,
    so interleave the two directions. Order only — the loop is still
@@ -200,148 +219,74 @@ let candidate_table ~mine_max ~other_max =
     end;
     tbl.(a)
 
-(* Partial-isomorphism extension check, arithmetic form, over the arena
-   entries (constants (0,0), (1,1) plus played; order-free): equality
-   patterns, plus every concatenation triple involving the new entry —
-   which over a single letter collapse to additive equations (u·v and
-   v·u have equal length, halving the triple cases). The columns are
-   fetched once and read unsafely: no push happens inside, and every
-   index is < len. (Without flambda each [Arena.fst_at] is a real call,
-   and these loops are the scan's inner core.) *)
-let uext_ok ar na nb =
-  let len = Arena.len ar in
-  let xs = Arena.col_a ar and ys = Arena.col_b ar in
-  let rec eq i =
-    i >= len
-    || (na = Array.unsafe_get xs i) = (nb = Array.unsafe_get ys i)
-       && eq (i + 1)
-  and outer i =
-    i >= len
-    ||
-    let x = Array.unsafe_get xs i and y = Array.unsafe_get ys i in
-    (x = na + na) = (y = nb + nb)
-    && inner x y 0
-    && outer (i + 1)
-  and inner x y j =
-    j >= len
-    ||
-    let u = Array.unsafe_get xs j and v = Array.unsafe_get ys j in
-    (na = x + u) = (nb = y + v)
-    && (x = na + u) = (y = nb + v)
-    && inner x y (j + 1)
-  in
-  eq 0 && outer 0
+(* Pattern maps. Every concatenation pattern a new entry (a, b) can
+   complete with entries (x, y), (u, v) of the position is an additive
+   equation with a as its unknown: a = x + u, a = x − u (from x = a + u,
+   or u + a) and a = x / 2 (from x = a + a); equality a = x is a = x + 0
+   through the (0, 0) constant. Such a pattern fires on the left at
+   exactly one value, and on the right exactly at the matching
+   y + v, y − v or y / 2. One O(len²) pass per side therefore tabulates,
+   for every value of [0..mine_max] at which some pattern fires, the
+   reply those patterns force — or [conflict] when two disagree, the
+   reply leaves [0..other_max] or the half is odd, so that no reply
+   completes them. Since each pattern fires on one side iff it fires on
+   the other at the forced reply, (a, b) extends the partial isomorphism
+   iff neither value is mapped, or fwd_L a = b and fwd_R b = a.
 
-(* Forced Duplicator replies, oriented by [swap] (false: Spoiler moved
-   on the left). If the move [a] satisfies an additive pattern with
-   known entries, triple-consistency forces the reply:
-     a = x + u   ⇒  b = y + v
-     x = a + u   ⇒  b = y - v
-     x = a + a   ⇒  b = y / 2
-   Returns the forced reply or -1 (unconstrained); raises [Unsat] when
-   forcings conflict or fall outside [0..other_max] — no reply preserves
-   the partial isomorphism at all. *)
-let uforced_reply ar ~swap ~other_max a =
-  let len = Arena.len ar in
-  let l = Arena.col_a ar and r = Arena.col_b ar in
-  (* orientation = exchanging the columns, hoisted out of the loops *)
-  let xs = if swap then r else l and ys = if swap then l else r in
-  let forced = ref (-1) in
-  let force v =
-    if v < 0 || v > other_max then raise Unsat
-    else if !forced = -1 then forced := v
-    else if !forced <> v then raise Unsat
-  in
+   A node's two maps sit in the scratch slots of its arena length,
+   stamped with a fresh generation instead of cleared: a slot with an
+   older stamp reads as unmapped. Children build at the next length, so
+   a node's maps stay valid across its whole expansion. *)
+
+let unmapped = -1
+let conflict = -2
+
+let pm_get s g i =
+  if Array.unsafe_get s.stamp i = g then Array.unsafe_get s.fwd i
+  else unmapped
+
+(* A pattern fires at [v] and forces [r]: record it in the slots from
+   [base] under stamp [g]. [n] counts the values mapped so far; returns
+   the new count. *)
+let pm_set s g base mine_max other_max n v r =
+  if v < 0 || v > mine_max then n
+  else
+    let r = if r < 0 || r > other_max then conflict else r in
+    let i = base + v in
+    if Array.unsafe_get s.stamp i <> g then begin
+      Array.unsafe_set s.stamp i g;
+      Array.unsafe_set s.fwd i r;
+      if r = conflict then s.clash <- true;
+      n + 1
+    end
+    else begin
+      if Array.unsafe_get s.fwd i <> r then begin
+        Array.unsafe_set s.fwd i conflict;
+        s.clash <- true
+      end;
+      n
+    end
+
+(* One side's map: [xs] are its entries, [ys] the other side's; sums
+   are visited once per unordered pair (x + u = u + x). *)
+let map_side s g base ~mine_max ~other_max xs ys len =
+  let n = ref 0 in
   for i = 0 to len - 1 do
     let x = Array.unsafe_get xs i and y = Array.unsafe_get ys i in
-    if x = a + a then
-      if y land 1 = 1 then raise Unsat else force (y asr 1);
+    if x land 1 = 0 then
+      n :=
+        pm_set s g base mine_max other_max !n (x asr 1)
+          (if y land 1 = 0 then y asr 1 else conflict);
+    for j = i to len - 1 do
+      let u = Array.unsafe_get xs j and v = Array.unsafe_get ys j in
+      n := pm_set s g base mine_max other_max !n (x + u) (y + v)
+    done;
     for j = 0 to len - 1 do
       let u = Array.unsafe_get xs j and v = Array.unsafe_get ys j in
-      if x + u = a then force (y + v);
-      if x = a + u then force (y - v)
-    done
-  done;
-  !forced
-
-(* Additive closure of one arena column (the [swap]-oriented "mine"
-   side), clipped to [2..max_v]: values x + u, x - u, x / 2 over the
-   column's entries, deduplicated into [buf]. Returns the count. Because
-   (0, 0) and (1, 1) are always entries, the closure contains every
-   played coordinate and its ±1 neighbours. A Spoiler move outside the
-   closure fires no pattern of [uext_ok], so it is exactly the closure
-   moves that can be forced or refuted. *)
-let uclosure ar ~swap ~max_v buf =
-  let len = Arena.len ar in
-  let l = Arena.col_a ar and r = Arena.col_b ar in
-  let xs = if swap then r else l in
-  let n = ref 0 in
-  let add v =
-    if v >= 2 && v <= max_v then begin
-      let dup = ref false in
-      for i = 0 to !n - 1 do
-        if buf.(i) = v then dup := true
-      done;
-      if not !dup then begin
-        buf.(!n) <- v;
-        incr n
-      end
-    end
-  in
-  for i = 0 to len - 1 do
-    let x = Array.unsafe_get xs i in
-    if x land 1 = 0 then add (x asr 1);
-    for j = 0 to len - 1 do
-      add (x + Array.unsafe_get xs j);
-      add (x - Array.unsafe_get xs j)
+      n := pm_set s g base mine_max other_max !n (x - u) (y - v)
     done
   done;
   !n
-
-(* Exact closed form for the 1-round game, the leaf of every unary
-   search. A closure move's reply is pinned down by [uforced_reply] (or
-   refuted outright); a generic move [a] — one outside the closure —
-   fires no pattern, and neither does a generic reply [b], so the pair
-   extends the partial isomorphism (every pattern equivalence is false
-   on both sides). Conversely a generic [a] paired with a closure [b]
-   fails: some pattern fires on the reply side only. Hence Duplicator
-   survives a generic move iff a generic reply value exists, i.e. iff
-   the reply-side closure does not cover all of [2..other_max]. *)
-let uw1 s ar ~p ~q =
-  let len = Arena.len ar in
-  ensure_w1buf s (len * ((2 * len) + 1));
-  let buf = s.w1buf in
-  let side ~swap ~mine_max ~other_max =
-    let cs_n = uclosure ar ~swap ~max_v:mine_max buf in
-    let ok = ref true in
-    for ci = 0 to cs_n - 1 do
-      if !ok then
-        let a = buf.(ci) in
-        match uforced_reply ar ~swap ~other_max a with
-        | exception Unsat -> ok := false
-        | -1 ->
-            (* unreachable for closure moves; kept for exactness *)
-            let rec scan b =
-              b <= other_max
-              && ((if swap then uext_ok ar b a else uext_ok ar a b)
-                 || scan (b + 1))
-            in
-            if not (scan 0) then ok := false
-        | b ->
-            if not (if swap then uext_ok ar b a else uext_ok ar a b) then
-              ok := false
-    done;
-    !ok
-    &&
-    (* generic moves exist iff the closure misses part of [2..mine_max] *)
-    let generic_move = cs_n < max 0 (mine_max - 1) in
-    (not generic_move)
-    ||
-    let cs'_n = uclosure ar ~swap:(not swap) ~max_v:other_max buf in
-    cs'_n < max 0 (other_max - 1)
-  in
-  side ~swap:false ~mine_max:p ~other_max:q
-  && side ~swap:true ~mine_max:q ~other_max:p
 
 let solve_unary ?cache ?(store_depth = max_int) ?(limit = max_int)
     ?(budget = 50_000_000) ~p ~q ~init k0 =
@@ -360,45 +305,79 @@ let solve_unary ?cache ?(store_depth = max_int) ?(limit = max_int)
   let candidates_l = candidate_table ~mine_max:p ~other_max:q in
   let candidates_r = candidate_table ~mine_max:q ~other_max:p in
   let order_l = move_order p and order_r = move_order q in
+  (* map slots: two sides of width [w] per arena length; a path pushes
+     at most k0 entries, and at most p + q (every push plays a new value
+     on its mover's side) *)
+  let w = max p q + 1 in
+  let pushes = if k0 >= 0 && k0 < p + q then k0 else p + q in
+  ensure_maps s (2 * (nconsts + List.length init + pushes + 1) * w);
+  (* [build] maps the current node (left side from [base], right from
+     [base + w]) and returns their stamp; [nl] and [nr] count the mapped
+     values of each side *)
+  let nl = ref 0 and nr = ref 0 in
+  let build () =
+    s.gen <- s.gen + 1;
+    s.clash <- false;
+    let len = Arena.len ar in
+    let l = Arena.col_a ar and r = Arena.col_b ar in
+    let base = 2 * len * w in
+    nl := map_side s s.gen base ~mine_max:p ~other_max:q l r len;
+    nr := map_side s s.gen (base + w) ~mine_max:q ~other_max:p r l len;
+    s.gen
+  in
   let rec wins k =
     incr nodes;
     Obs.Metrics.vec_incr m_nodes k;
     if !nodes > budget then raise Budget_exceeded;
     if k = 0 then true
+    else if k = 1 then leaf ()
     else
       let n = fill_sorted_pairs s ar ~nconsts ~rbits in
       Pmemo.cached memo k s.keybuf n (fun () -> compute k n)
+  (* The 1-round game in closed form, skipping both memo and shared
+     table (it is cheaper than their keys). A mapped move must be
+     answered by its forced reply, and the pattern forcing it fires at
+     the reply too, so the reply's own entry maps back to the move
+     unless it is a conflict. An unmapped move fires no pattern: any
+     unmapped reply answers it and no mapped one does. So Duplicator
+     survives iff neither side maps a conflict and unmapped values exist
+     on both sides or on neither. 0 and 1 are always mapped (to
+     themselves: constants, like played values, never conflict in a
+     partial isomorphism), so a side has an unmapped value iff fewer
+     than max + 1 of its values are mapped. *)
+  and leaf () =
+    ignore (build ());
+    (not s.clash) && (!nl <= p) = (!nr <= q)
   and compute k n =
-    if k = 1 then
-      (* closed form; never touches the shared table (the computation
-         is cheaper than building its key) *)
-      uw1 s ar ~p ~q
-    else
-      (* deep positions skip the shared table: during a cold scan they
-         are never re-reachable from another instance (keys embed
-         (p, q)), so building their keys is pure overhead *)
-      let gkey =
-        match cache with
-        | Some _ when n <= store_depth ->
-            Some (Position.unary_key ~p ~q (Arena.to_list ~from:nconsts ar))
-        | _ -> None
-      in
-      let cached_r =
-        match (cache, gkey) with
-        | Some c, Some key -> Cache.lookup c key ~k
-        | _ -> None
-      in
-      match cached_r with
-      | Some r -> r
-      | None ->
-          let r = spoiler false k && spoiler true k in
-          (match (cache, gkey) with
-          | Some c, Some key ->
-              (* limited-mode failures are not genuine Spoiler wins *)
-              if r || full then Cache.store c key ~k r
-          | _ -> ());
-          r
-  and spoiler swap k =
+    (* deep positions skip the shared table: during a cold scan they
+       are never re-reachable from another instance (keys embed
+       (p, q)), so building their keys is pure overhead *)
+    let gkey =
+      match cache with
+      | Some _ when n <= store_depth ->
+          Some (Position.unary_key ~p ~q (Arena.to_list ~from:nconsts ar))
+      | _ -> None
+    in
+    let cached_r =
+      match (cache, gkey) with
+      | Some c, Some key -> Cache.lookup c key ~k
+      | _ -> None
+    in
+    match cached_r with
+    | Some r -> r
+    | None ->
+        let g = build () in
+        let r = spoiler g false k && spoiler g true k in
+        (match (cache, gkey) with
+        | Some c, Some key ->
+            (* limited-mode failures are not genuine Spoiler wins *)
+            if r || full then Cache.store c key ~k r
+        | _ -> ());
+        r
+  and spoiler g swap k =
+    let base = 2 * Arena.len ar * w in
+    let mine = if swap then base + w else base in
+    let other = if swap then base else base + w in
     let rec moves = function
       | [] -> true
       | a :: rest -> (dominated a || survives a) && moves rest
@@ -411,32 +390,34 @@ let solve_unary ?cache ?(store_depth = max_int) ?(limit = max_int)
       if d then Obs.Metrics.incr m_prune_dominated;
       d
     and survives a =
-      let other_max = if swap then p else q in
-      match uforced_reply ar ~swap ~other_max a with
-      | exception Unsat ->
-          Obs.Metrics.incr m_prune_unsat;
-          false
-      | -1 ->
-          let cands = if swap then candidates_r a else candidates_l a in
-          if full then List.exists (fun b -> try_reply a b) cands
-          else
-            let rec go i = function
-              | [] -> false
-              | b :: rest -> i < limit && (try_reply a b || go (i + 1) rest)
-            in
-            go 0 cands
-      | b ->
-          Obs.Metrics.incr m_prune_forced;
-          try_reply a b
-    and try_reply a b =
-      let na, nb = if swap then (b, a) else (a, b) in
-      uext_ok ar na nb
-      && begin
-           Arena.push ar na nb;
-           let r = wins (k - 1) in
-           Arena.pop ar;
-           r
-         end
+      let f = pm_get s g (mine + a) in
+      if f = conflict then begin
+        Obs.Metrics.incr m_prune_unsat;
+        false
+      end
+      else if f = unmapped then
+        (* only an unmapped reply extends; mapped ones still count
+           toward [limit] *)
+        let rec go i = function
+          | [] -> false
+          | b :: rest ->
+              i < limit
+              && ((pm_get s g (other + b) = unmapped && descend a b)
+                 || go (i + 1) rest)
+        in
+        go 0 (if swap then candidates_r a else candidates_l a)
+      else begin
+        (* f's own entry is a or a conflict. In the second case Spoiler's
+           move f refutes this node anyway, but the check keeps the
+           search out of positions that are no partial isomorphism *)
+        Obs.Metrics.incr m_prune_forced;
+        pm_get s g (other + f) = a && descend a f
+      end
+    and descend a b =
+      if swap then Arena.push ar b a else Arena.push ar a b;
+      let r = wins (k - 1) in
+      Arena.pop ar;
+      r
     in
     moves (if swap then order_r else order_l)
   in
@@ -445,7 +426,13 @@ let solve_unary ?cache ?(store_depth = max_int) ?(limit = max_int)
   let valid = ref true in
   List.iter
     (fun (l, r) ->
-      if !valid && l >= 0 && l <= p && r >= 0 && r <= q && uext_ok ar l r
+      if
+        !valid && l >= 0 && l <= p && r >= 0 && r <= q
+        &&
+        let g = build () in
+        let base = 2 * Arena.len ar * w in
+        let fl = pm_get s g (base + l) and fr = pm_get s g (base + w + r) in
+        (fl = unmapped && fr = unmapped) || (fl = r && fr = l)
       then Arena.push ar l r
       else valid := false)
     init;

@@ -31,10 +31,21 @@ val solve_unary :
 (** [solve_unary ~p ~q ~init k]: can Duplicator win [k] more rounds of
     the game on c^p vs c^q from the position given by the played [init]
     pairs of lengths? Over one letter a factor is its length and every
-    concatenation pattern an additive equation, so this search never
-    allocates a string; its 1-round leaves are an exact closed form.
-    Requires [p ≥ 1] and [q ≥ 1] (so the letter constant is defined on
-    both sides). [limit] is the Duplicator candidate width ([max_int],
+    concatenation pattern an additive equation (a = x + u, x − u or
+    x / 2 over played entries), so this search never allocates a string.
+    Each node tabulates its patterns once, in O(len²) per side: a
+    pattern map from every value at which one fires to the reply it
+    forces, or to a conflict when none can. Since a pattern fires on
+    one side exactly when it fires on the other at the forced reply,
+    the map answers exactly: a pair extends the position iff both
+    values are unmapped or each maps to the other; a mapped move's
+    reply is forced; and the 1-round game, played at every leaf without
+    the memo, is won by Duplicator iff neither side maps a conflict and
+    unmapped values exist on both sides or on neither. Lookups decide
+    exactly what checking the patterns one by one would, so they change
+    the cost of a node, not which nodes the search visits. Requires
+    [p ≥ 1] and [q ≥ 1] (so the letter constant is defined on both
+    sides). [limit] is the Duplicator candidate width ([max_int],
     the default, is the full search; with a finite limit, [Some true]
     stays sound and [Some false] only means the truncated search
     failed). [store_depth] bounds the position depth (played pairs) at
@@ -42,8 +53,10 @@ val solve_unary :
     only the solve-local memo. Depth gating is a pure time/space
     trade-off: within one solve the local memo already deduplicates,
     and across solves only shallow positions are ever re-reachable, so
-    verdicts are unaffected. Returns [(result, nodes, memo_entries)];
-    [result] is [None] when the node [budget] is exhausted. *)
+    verdicts are unaffected. Returns [(result, nodes, memo_entries)],
+    where [memo_entries] counts positions with at least two rounds left
+    (leaves are not memoized); [result] is [None] when the node [budget]
+    is exhausted. *)
 
 (** {1 General (two-word) games} *)
 

@@ -59,26 +59,6 @@ let unary_key ~p ~q pairs =
     let b = encode_unary ~p ~q (List.sort compare (mirror pairs)) in
     if a <= b then a else b
 
-(* Allocation-light variant of [unary_key] for the packed engine's
-   diagnostics and tests: same canonicalization (orient to p ≤ q, sort,
-   and on the p = q diagonal take the smaller of the two mirror
-   encodings), encoded as an int list instead of a string. The two
-   functions may pick different representatives of the mirror orbit on
-   the diagonal, but each is constant on the orbit and injective across
-   orbits, so key equality coincides: [unary_key x = unary_key y] iff
-   [unary_key_packed x = unary_key_packed y] (qcheck-verified in
-   test/test_solver_cache.ml). *)
-let unary_key_packed ~p ~q pairs =
-  let enc p q pairs =
-    p :: q :: List.concat_map (fun (l, r) -> [ l; r ]) pairs
-  in
-  if p < q then enc p q (List.sort compare pairs)
-  else if q < p then enc q p (List.sort compare (mirror pairs))
-  else
-    let a = enc p q (List.sort compare pairs) in
-    let b = enc p q (List.sort compare (mirror pairs)) in
-    if a <= b then a else b
-
 let count_char c s =
   let n = ref 0 in
   String.iter (fun ch -> if ch = c then incr n) s;

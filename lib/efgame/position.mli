@@ -33,14 +33,6 @@ val unary_key : p:int -> q:int -> (int * int) list -> key
 (** [unary_key ~p ~q pairs]: canonical key for a position of the unary
     game on c^p vs c^q, with factors given by their lengths. *)
 
-val unary_key_packed : p:int -> q:int -> (int * int) list -> int list
-(** Same canonicalization as {!unary_key}, encoded as an int list
-    instead of a string. Key equality agrees with {!unary_key} on every
-    pair of positions (the canonical representative chosen on the p = q
-    diagonal may differ, but both functions identify exactly the mirror
-    orbits), so either may key a table without changing its collision
-    structure. *)
-
 val key_depth : key -> int
 (** Number of played pairs recorded in a key (either encoding): the depth
     of the position below the game's root. Constant entries don't count.

@@ -117,6 +117,44 @@ let test_unary_identity_init_limit () =
         [ 1; 2; 4; max_int ])
     inits
 
+let test_unary_played_positions () =
+  (* every position of at most two played pairs at k = 0 and 1, and of
+     at most one at k = 2, on a^p vs a^q for p, q <= 6 — in both orders,
+     partial isomorphisms or not: the search must give the oracle's
+     verdict from each (at k = 0, whether the position is a partial
+     isomorphism at all) *)
+  for p = 1 to 6 do
+    for q = 1 to 6 do
+      let entries =
+        List.concat_map
+          (fun l -> List.init (q + 1) (fun r -> (l, r)))
+          (List.init (p + 1) Fun.id)
+      in
+      let check k init =
+        let r, _, _ = Packed.solve_unary ~p ~q ~init k in
+        let pairs = List.map (fun (l, r) -> (unary l, unary r)) init in
+        Alcotest.check verdict
+          (Printf.sprintf "a^%d vs a^%d @%d from [%s]" p q k
+             (String.concat ";"
+                (List.map (fun (l, r) -> Printf.sprintf "%d,%d" l r) init)))
+          (of_bool (Oracle.equiv ~pairs (unary p) (unary q) k))
+          (of_result r)
+      in
+      check 1 [];
+      check 2 [];
+      List.iter
+        (fun e ->
+          check 0 [ e ];
+          check 2 [ e ];
+          List.iter
+            (fun e' ->
+              check 0 [ e; e' ];
+              check 1 [ e; e' ])
+            entries)
+        entries
+    done
+  done
+
 let test_unary_cache_traffic () =
   (* one table shared across a grid of solves at each store depth: the
      table only ever holds exact verdicts, so cold and warm answers both
@@ -294,6 +332,8 @@ let tests =
       Alcotest.test_case "unary identity (grid)" `Quick test_unary_identity;
       Alcotest.test_case "unary identity (init, limit)" `Quick
         test_unary_identity_init_limit;
+      Alcotest.test_case "unary identity (played positions)" `Quick
+        test_unary_played_positions;
       Alcotest.test_case "unary cache traffic identity" `Quick
         test_unary_cache_traffic;
       Alcotest.test_case "scan identity" `Slow test_scan_identity;

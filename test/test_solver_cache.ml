@@ -218,11 +218,10 @@ let prop_engines_agree =
       let par, _ = Parallel.decide ~jobs:2 ~cache:(Cache.create ()) (Game.make w v) k in
       seed = cached && seed = par)
 
-let prop_packed_key_canonical =
-  (* Position.unary_key_packed and the string Position.unary_key must
-     induce the same equivalence on positions, so either can key a
-     table without changing its collision structure. Small ranges keep genuine key
-     collisions frequent so both directions of the iff get exercised. *)
+let prop_unary_key_canonical =
+  (* Position.unary_key is constant on a position's mirror orbit:
+     swapping sides and reordering pairs never changes it. Small ranges
+     keep the p = q diagonal and repeated pairs frequent. *)
   let arb_position =
     let gen =
       QCheck.Gen.(
@@ -234,22 +233,16 @@ let prop_packed_key_canonical =
           (String.concat "; "
              (List.map (fun (l, r) -> Printf.sprintf "(%d,%d)" l r) pairs)))
   in
-  QCheck.Test.make
-    ~name:"packed and string unary keys canonicalize identically"
+  QCheck.Test.make ~name:"unary keys are constant under mirror and reordering"
     ~count:500
     (QCheck.pair arb_position arb_position)
-    (fun (((p1, q1, ps1) as a), b) ->
+    (fun (a, b) ->
       let ks (p, q, ps) = Position.unary_key ~p ~q ps in
-      let kp (p, q, ps) = Position.unary_key_packed ~p ~q ps in
       let mirror = List.map (fun (l, r) -> (r, l)) in
-      (* same key in one encoding iff same key in the other *)
-      (ks a = ks b) = (kp a = kp b)
-      (* and both are constant on the mirror orbit: swapping sides and
-         reordering pairs never changes either key *)
-      && ks (q1, p1, mirror ps1) = ks a
-      && kp (q1, p1, mirror ps1) = kp a
-      && ks (p1, q1, List.rev ps1) = ks a
-      && kp (p1, q1, List.rev ps1) = kp a)
+      List.for_all
+        (fun ((p, q, ps) as x) ->
+          ks (q, p, mirror ps) = ks x && ks (p, q, List.rev ps) = ks x)
+        [ a; b ])
 
 let prop_unary_fast_path =
   let gen = QCheck.Gen.(triple (1 -- 24) (1 -- 24) (0 -- 2)) in
@@ -282,6 +275,6 @@ let tests =
       Alcotest.test_case "canonical position keys" `Quick test_canonical_keys;
       Alcotest.test_case "hit/miss counters" `Quick test_cache_counters;
       QCheck_alcotest.to_alcotest prop_engines_agree;
-      QCheck_alcotest.to_alcotest prop_packed_key_canonical;
+      QCheck_alcotest.to_alcotest prop_unary_key_canonical;
       QCheck_alcotest.to_alcotest prop_unary_fast_path;
     ] )
