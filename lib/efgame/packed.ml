@@ -19,9 +19,11 @@
    - a unary node's concatenation patterns are one O(len²) pattern map
      per side (value -> the reply it forces), built once per node into
      stamped per-domain slots; extension checks, forced replies and the
-     1-round closed form are lookups in it, and 1-round leaves skip the
-     memo. A lookup decides exactly what checking each pattern would, so
-     the map sets the cost of a node, not which nodes are visited;
+     1-round closed form are lookups in it; a 1-round leaf skips the
+     memo and adds only its newest entry's O(len) patterns to its
+     parent's map. Unary reply orders take O(p + q) per move and are
+     shared by a pair's round chain. A lookup decides exactly what
+     checking each pattern would: node counts are identical on purpose;
    - shared-{!Cache} traffic uses {!Position} string keys, so table
      bytes and the persistence format do not depend on the in-memory
      representation. *)
@@ -58,6 +60,8 @@ type scratch = {
   mutable fwd : int array; (* pattern-map slot -> forced reply *)
   mutable gen : int; (* stamp of the last build *)
   mutable clash : bool; (* the last build mapped a conflict *)
+  mutable pq : int * int; (* the unary instance [replies] serves *)
+  mutable replies : int array array; (* left moves, then right: order *)
 }
 
 let scratch_key =
@@ -69,6 +73,8 @@ let scratch_key =
         fwd = [||];
         gen = 0;
         clash = false;
+        pq = (0, 0);
+        replies = [||];
       })
 
 let scratch () = Domain.DLS.get scratch_key
@@ -188,36 +194,39 @@ let move_order m =
   done;
   List.rev !out
 
+(* the polymorphic [min] calls the generic compare: too slow here *)
+let imin (x : int) y = if x < y then x else y
+
 (* Replies that tend to survive, in order: identical (b = a), mirror
    (same distance from the right end), same distance shifted by half the
    length gap — the shift Duplicator's midpoint strategies use — and
-   then by plain closeness. The order is a heuristic only; the scan
-   stays exhaustive. *)
-let candidate_order ~mine_max ~other_max a =
+   then by plain closeness, ties by ascending b. The order is a
+   heuristic only; the scan stays exhaustive. A counting sort on the
+   score builds it in O(mine_max + other_max). *)
+let reply_order ~mine_max ~other_max a =
   let g = other_max - mine_max in
   let h = g / 2 and h' = g - (g / 2) in
-  let score b =
-    if b = a then -1
-    else
-      let d = b - a in
-      min
-        (min (abs d) (abs (d - g)))
-        (min (abs (d - h)) (abs (d - h')))
-  in
-  List.init (other_max + 1) (fun b -> (score b, b))
-  |> List.sort compare |> List.map snd
-
-(* The candidate order depends only on (side, a) for a fixed instance:
-   compute it once per move value and reuse across the whole search. *)
-let candidate_table ~mine_max ~other_max =
-  let tbl = Array.make (mine_max + 1) [] in
-  let filled = Array.make (mine_max + 1) false in
-  fun a ->
-    if not filled.(a) then begin
-      tbl.(a) <- candidate_order ~mine_max ~other_max a;
-      filled.(a) <- true
-    end;
-    tbl.(a)
+  (* [c.(b)] is b's score + 1 (scores lie in [-1 .. max mine_max
+     other_max]), [start.(s)] where the replies of score s - 1 go *)
+  let c = Array.make (other_max + 1) 0 in
+  let start = Array.make (max mine_max other_max + 3) 0 in
+  for b = 0 to other_max do
+    let d = b - a in
+    if d <> 0 then
+      c.(b) <-
+        1
+        + imin (imin (abs d) (abs (d - g))) (imin (abs (d - h)) (abs (d - h')));
+    start.(c.(b) + 1) <- start.(c.(b) + 1) + 1
+  done;
+  for s = 1 to Array.length start - 1 do
+    start.(s) <- start.(s) + start.(s - 1)
+  done;
+  let out = Array.make (other_max + 1) 0 in
+  for b = 0 to other_max do
+    out.(start.(c.(b))) <- b;
+    start.(c.(b)) <- start.(c.(b)) + 1
+  done;
+  out
 
 (* Pattern maps. Every concatenation pattern a new entry (a, b) can
    complete with entries (x, y), (u, v) of the position is an additive
@@ -246,10 +255,16 @@ let pm_get s g i =
   else unmapped
 
 (* A pattern fires at [v] and forces [r]: record it in the slots from
-   [base] under stamp [g]. [n] counts the values mapped so far; returns
-   the new count. *)
-let pm_set s g base mine_max other_max n v r =
+   [base] under stamp [g] — unless the parent's map (stamp [gp] from
+   [pbase]; -1: none) maps [v], when [r] must agree with its reply. [n]
+   counts the values mapped outside the parent's map; returns the new
+   count. *)
+let pm_set s g gp base pbase mine_max other_max n v r =
   if v < 0 || v > mine_max then n
+  else if Array.unsafe_get s.stamp (pbase + v) = gp then begin
+    if Array.unsafe_get s.fwd (pbase + v) <> r then s.clash <- true;
+    n
+  end
   else
     let r = if r < 0 || r > other_max then conflict else r in
     let i = base + v in
@@ -267,24 +282,25 @@ let pm_set s g base mine_max other_max n v r =
       n
     end
 
-(* One side's map: [xs] are its entries, [ys] the other side's; sums
-   are visited once per unordered pair (x + u = u + x). *)
-let map_side s g base ~mine_max ~other_max xs ys len =
-  let n = ref 0 in
-  for i = 0 to len - 1 do
-    let x = Array.unsafe_get xs i and y = Array.unsafe_get ys i in
-    if x land 1 = 0 then
-      n :=
-        pm_set s g base mine_max other_max !n (x asr 1)
-          (if y land 1 = 0 then y asr 1 else conflict);
-    for j = i to len - 1 do
-      let u = Array.unsafe_get xs j and v = Array.unsafe_get ys j in
-      n := pm_set s g base mine_max other_max !n (x + u) (y + v)
-    done;
-    for j = 0 to len - 1 do
-      let u = Array.unsafe_get xs j and v = Array.unsafe_get ys j in
-      n := pm_set s g base mine_max other_max !n (x - u) (y - v)
-    done
+(* The patterns entry [i] completes with entries [0..i] — x_i / 2,
+   x_i + x_j, x_i − x_j and x_j − x_i — on the side whose entries are
+   [xs] ([ys] the other side's). Adding them for i = 0, 1, … visits
+   every pattern of a position; a 1-round leaf adds only its newest
+   entry's on top of its parent's map, which holds all the others. *)
+let map_entry s g gp base pbase ~mine_max ~other_max xs ys n i =
+  let x = Array.unsafe_get xs i and y = Array.unsafe_get ys i in
+  let n =
+    ref
+      (if x land 1 = 0 then
+         pm_set s g gp base pbase mine_max other_max n (x asr 1)
+           (if y land 1 = 0 then y asr 1 else conflict)
+       else n)
+  in
+  for j = 0 to i do
+    let u = Array.unsafe_get xs j and v = Array.unsafe_get ys j in
+    n := pm_set s g gp base pbase mine_max other_max !n (x + u) (y + v);
+    n := pm_set s g gp base pbase mine_max other_max !n (x - u) (y - v);
+    n := pm_set s g gp base pbase mine_max other_max !n (u - x) (v - y)
   done;
   !n
 
@@ -302,8 +318,20 @@ let solve_unary ?cache ?(store_depth = max_int) ?(limit = max_int)
   let nodes = ref 0 in
   let rbits = bits_for (max p q) in
   let memo = Pmemo.create ~pairbits:(2 * rbits) in
-  let candidates_l = candidate_table ~mine_max:p ~other_max:q in
-  let candidates_r = candidate_table ~mine_max:q ~other_max:p in
+  (* reply orders depend only on (p, q, side, move): the scratch keeps
+     the last instance's, which a pair's round chain shares *)
+  if s.pq <> (p, q) then begin
+    s.pq <- (p, q);
+    s.replies <- Array.make (p + q + 2) [||]
+  end;
+  let replies swap a =
+    let i = if swap then p + 1 + a else a in
+    if Array.length s.replies.(i) = 0 then
+      s.replies.(i) <-
+        (if swap then reply_order ~mine_max:q ~other_max:p a
+         else reply_order ~mine_max:p ~other_max:q a);
+    s.replies.(i)
+  in
   let order_l = move_order p and order_r = move_order q in
   (* map slots: two sides of width [w] per arena length; a path pushes
      at most k0 entries, and at most p + q (every push plays a new value
@@ -311,19 +339,34 @@ let solve_unary ?cache ?(store_depth = max_int) ?(limit = max_int)
   let w = max p q + 1 in
   let pushes = if k0 >= 0 && k0 < p + q then k0 else p + q in
   ensure_maps s (2 * (nconsts + List.length init + pushes + 1) * w);
-  (* [build] maps the current node (left side from [base], right from
-     [base + w]) and returns their stamp; [nl] and [nr] count the mapped
-     values of each side *)
+  (* [build gp nl0 nr0] maps the current node (left side from [base],
+     right from [base + w]) and returns their stamp; [nl] and [nr] count
+     the mapped values of each side. [gp] = -1 builds from scratch. A
+     1-round leaf under a k = 2 node (always so when k0 >= 2) passes
+     [!parent], that node's stamp, clash flag and counts: its map is the
+     parent's, one length down, plus its newest entry's patterns, so
+     only those are added, in O(len) (and a left clash skips the right) *)
   let nl = ref 0 and nr = ref 0 in
-  let build () =
-    s.gen <- s.gen + 1;
+  let parent = ref (-1, false, 0, 0) in
+  let build gp nl0 nr0 =
+    let g = s.gen + 1 in
+    s.gen <- g;
     s.clash <- false;
     let len = Arena.len ar in
     let l = Arena.col_a ar and r = Arena.col_b ar in
     let base = 2 * len * w in
-    nl := map_side s s.gen base ~mine_max:p ~other_max:q l r len;
-    nr := map_side s s.gen (base + w) ~mine_max:q ~other_max:p r l len;
-    s.gen
+    nl := nl0;
+    nr := nr0;
+    for i = (if gp < 0 then 0 else len - 1) to len - 1 do
+      nl :=
+        map_entry s g gp base (base - 2 * w) ~mine_max:p ~other_max:q l r
+          !nl i;
+      if gp < 0 || not s.clash then
+        nr :=
+          map_entry s g gp (base + w) (base - w) ~mine_max:q ~other_max:p r l
+            !nr i
+    done;
+    g
   in
   let rec wins k =
     incr nodes;
@@ -346,8 +389,11 @@ let solve_unary ?cache ?(store_depth = max_int) ?(limit = max_int)
      partial isomorphism), so a side has an unmapped value iff fewer
      than max + 1 of its values are mapped. *)
   and leaf () =
-    ignore (build ());
-    (not s.clash) && (!nl <= p) = (!nr <= q)
+    let gp, pclash, pnl, pnr = !parent in
+    (* a parent's conflict is its leaves' too *)
+    (not pclash)
+    && (ignore (build gp pnl pnr);
+        (not s.clash) && (!nl <= p) = (!nr <= q))
   and compute k n =
     (* deep positions skip the shared table: during a cold scan they
        are never re-reachable from another instance (keys embed
@@ -366,7 +412,8 @@ let solve_unary ?cache ?(store_depth = max_int) ?(limit = max_int)
     match cached_r with
     | Some r -> r
     | None ->
-        let g = build () in
+        let g = build (-1) 0 0 in
+        if k = 2 then parent := (g, s.clash, !nl, !nr);
         let r = spoiler g false k && spoiler g true k in
         (match (cache, gkey) with
         | Some c, Some key ->
@@ -398,14 +445,14 @@ let solve_unary ?cache ?(store_depth = max_int) ?(limit = max_int)
       else if f = unmapped then
         (* only an unmapped reply extends; mapped ones still count
            toward [limit] *)
-        let rec go i = function
-          | [] -> false
-          | b :: rest ->
-              i < limit
-              && ((pm_get s g (other + b) = unmapped && descend a b)
-                 || go (i + 1) rest)
+        let cand = replies swap a in
+        let m = imin limit (Array.length cand) in
+        let rec go i =
+          i < m
+          && (let b = Array.unsafe_get cand i in
+              (pm_get s g (other + b) = unmapped && descend a b) || go (i + 1))
         in
-        go 0 (if swap then candidates_r a else candidates_l a)
+        go 0
       else begin
         (* f's own entry is a or a conflict. In the second case Spoiler's
            move f refutes this node anyway, but the check keeps the
@@ -429,7 +476,7 @@ let solve_unary ?cache ?(store_depth = max_int) ?(limit = max_int)
       if
         !valid && l >= 0 && l <= p && r >= 0 && r <= q
         &&
-        let g = build () in
+        let g = build (-1) 0 0 in
         let base = 2 * Arena.len ar * w in
         let fl = pm_get s g (base + l) and fr = pm_get s g (base + w + r) in
         (fl = unmapped && fr = unmapped) || (fl = r && fr = l)

@@ -33,9 +33,12 @@ val solve_unary :
     pairs of lengths? Over one letter a factor is its length and every
     concatenation pattern an additive equation (a = x + u, x − u or
     x / 2 over played entries), so this search never allocates a string.
-    Each node tabulates its patterns once, in O(len²) per side: a
-    pattern map from every value at which one fires to the reply it
-    forces, or to a conflict when none can. Since a pattern fires on
+    Each node with two or more rounds left tabulates its patterns once,
+    in O(len²) per side: a pattern map from every value at which one
+    fires to the reply it forces, or to a conflict when none can; a
+    1-round leaf below it reads that map plus the O(len) patterns
+    through its newest entry. Replies are tried in {!reply_order},
+    shared by consecutive solves of one (p, q). Since a pattern fires on
     one side exactly when it fires on the other at the forced reply,
     the map answers exactly: a pair extends the position iff both
     values are unmapped or each maps to the other; a mapped move's
@@ -43,7 +46,8 @@ val solve_unary :
     the memo, is won by Duplicator iff neither side maps a conflict and
     unmapped values exist on both sides or on neither. Lookups decide
     exactly what checking the patterns one by one would, so they change
-    the cost of a node, not which nodes the search visits. Requires
+    the cost of a node, not which nodes the search visits: node counts
+    and memo entries are identical on purpose. Requires
     [p ≥ 1] and [q ≥ 1] (so the letter constant is defined on both
     sides). [limit] is the Duplicator candidate width ([max_int],
     the default, is the full search; with a finite limit, [Some true]
@@ -57,6 +61,15 @@ val solve_unary :
     where [memo_entries] counts positions with at least two rounds left
     (leaves are not memoized); [result] is [None] when the node [budget]
     is exhausted. *)
+
+val reply_order : mine_max:int -> other_max:int -> int -> int array
+(** [reply_order ~mine_max ~other_max a]: the order in which the unary
+    search tries Duplicator's replies [0..other_max] to Spoiler's move
+    [a] on the side of length [mine_max] — ascending (score, b), where
+    the identical reply b = a scores -1 and any other b scores its
+    distance to the nearest of a, the mirror a + g and the half-shifts
+    a + g / 2 and a + g − g / 2 (g = other_max − mine_max, [/]
+    truncating). A heuristic order, built in O(mine_max + other_max). *)
 
 (** {1 General (two-word) games} *)
 

@@ -122,7 +122,9 @@ let test_unary_played_positions () =
      at most one at k = 2, on a^p vs a^q for p, q <= 6 — in both orders,
      partial isomorphisms or not: the search must give the oracle's
      verdict from each (at k = 0, whether the position is a partial
-     isomorphism at all) *)
+     isomorphism at all). For p, q <= 5, k = 2 from every position of
+     two played pairs too: those searches decide 1-round leaves at arena
+     length 5 from their parent's pattern map. *)
   for p = 1 to 6 do
     for q = 1 to 6 do
       let entries =
@@ -149,9 +151,52 @@ let test_unary_played_positions () =
           List.iter
             (fun e' ->
               check 0 [ e; e' ];
-              check 1 [ e; e' ])
+              check 1 [ e; e' ];
+              if p <= 5 && q <= 5 then check 2 [ e; e' ])
             entries)
         entries
+    done
+  done
+
+let test_unary_node_identity () =
+  (* nodes and memo entries of every k = 3 solve on a^p vs a^q, p <= q <=
+     32, summed. Verdicts alone cannot see a kernel that decides some
+     1-round leaves wrongly but is rescued by other replies; the
+     explored tree can. Cost-only changes keep these totals; a change
+     that alters which nodes the search visits fails here. *)
+  let nodes = ref 0 and entries = ref 0 in
+  for q = 1 to 32 do
+    for p = 1 to q do
+      let _, n, m = Packed.solve_unary ~p ~q ~init:[] 3 in
+      nodes := !nodes + n;
+      entries := !entries + m
+    done
+  done;
+  Alcotest.(check (pair int int)) "nodes, memo entries" (42784, 9976)
+    (!nodes, !entries)
+
+let test_reply_order () =
+  (* the counting sort against its specification: every reply of
+     [0..other_max], sorted by (score, b) — identical reply first, then
+     the distance to the nearest of the move, the mirror and the two
+     half-shift centres; the grid covers both sides of every pair *)
+  let spec ~mine_max ~other_max a =
+    let g = other_max - mine_max in
+    let centres = [ a; a + g; a + (g / 2); a + g - (g / 2) ] in
+    let score b =
+      if b = a then -1
+      else List.fold_left (fun m c -> min m (abs (b - c))) max_int centres
+    in
+    List.init (other_max + 1) (fun b -> (score b, b))
+    |> List.sort compare |> List.map snd
+  in
+  for mine_max = 1 to 40 do
+    for other_max = 1 to 40 do
+      for a = 0 to mine_max do
+        let got = Packed.reply_order ~mine_max ~other_max a in
+        if Array.to_list got <> spec ~mine_max ~other_max a then
+          Alcotest.failf "reply order for %d of %d vs %d" a mine_max other_max
+      done
     done
   done
 
@@ -334,6 +379,9 @@ let tests =
         test_unary_identity_init_limit;
       Alcotest.test_case "unary identity (played positions)" `Quick
         test_unary_played_positions;
+      Alcotest.test_case "unary node identity" `Quick
+        test_unary_node_identity;
+      Alcotest.test_case "unary reply order" `Quick test_reply_order;
       Alcotest.test_case "unary cache traffic identity" `Quick
         test_unary_cache_traffic;
       Alcotest.test_case "scan identity" `Slow test_scan_identity;
