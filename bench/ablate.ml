@@ -81,16 +81,11 @@ let rows =
     {
       r_name = "efgame/unary_equiv(a^12 vs a^14, k=2)";
       supports_cache = true;
-      supports_jobs = true;
+      supports_jobs = false;
       run =
         (fun cfg ->
           let w, v = (unary 12, unary 14) in
-          if cfg.jobs > 1 then
-            ignore
-              (Efgame.Parallel.decide ~jobs:cfg.jobs
-                 ~cache:(Efgame.Cache.create ())
-                 (Efgame.Game.make w v) 2)
-          else if cfg.cached then
+          if cfg.cached then
             ignore (Efgame.Game.equiv ~cache:(Efgame.Cache.create ()) w v 2)
           else ignore (Efgame.Game.equiv w v 2));
     };

@@ -4,8 +4,8 @@
      efgame_cli aaa aaaa --rounds 1
      efgame_cli aa aaa --rounds 2 --explain
      efgame_cli aaaa aaaaaa --rounds 2 --cache --stats
-     efgame_cli abab baba --rounds 2 --jobs 4
-     efgame_cli --scan 2 --max 14            (minimal unary pair search)
+     efgame_cli abab baba --rounds 2 --explain
+     efgame_cli --scan 2 --max 14 --jobs 2   (minimal unary pair search)
      efgame_cli --classes 1 --max 8          (≡_k classes of a^0..a^max)
      efgame_cli --frontier 384 --table e2.tbl --json scan.json
                                              (exhaustive ≡₃ scan, checkpointed)
@@ -102,6 +102,12 @@ let run words rounds explain budget scan classes frontier max_n use_cache jobs
     stats table resume salvage checkpoint_s deadline_s inject_faults json trace
     metrics telemetry telemetry_interval flight quiet verbose =
   Obs.Log.setup ~quiet ~verbosity:(List.length verbose) ();
+  if jobs > 1 && frontier = None && scan = None && classes = None then begin
+    Obs.Log.err
+      "--jobs fans out scans (--scan / --classes / --frontier), not a \
+       single game";
+    exit 2
+  end;
   (match Rt.Fault.setup ?spec:inject_faults () with
   | Ok () ->
       if Rt.Fault.enabled () then
@@ -382,9 +388,7 @@ let run words rounds explain budget scan classes frontier max_n use_cache jobs
       | [ w; v ] ->
           let cfg = Efgame.Game.make w v in
           let verdict, s =
-            match (cache, jobs) with
-            | Some c, j when j > 1 -> Efgame.Parallel.decide ~budget ~jobs:j ~cache:c cfg rounds
-            | _ -> Efgame.Game.decide_with_stats ~budget ?cache cfg rounds
+            Efgame.Game.decide_with_stats ~budget ?cache cfg rounds
           in
           Format.printf "%a %a_%d %a  (%d nodes, %d memo entries)@." pp_word w
             Efgame.Game.pp_verdict verdict rounds pp_word v s.Efgame.Game.nodes
@@ -1793,15 +1797,17 @@ let max_arg = Arg.(value & opt int 14 & info [ "max" ] ~docv:"N" ~doc:"Bound for
 
 let cache_arg =
   Arg.(value & flag & info [ "cache" ]
-       ~doc:"Use the transposition-table solver engine (canonical position \
-             keys, rounds-aware entries; unary instances take the arithmetic \
-             fast path).")
+       ~doc:"Consult and feed a transposition table (canonical position \
+             keys, rounds-aware entries). Verdicts are the same without \
+             it; the search is chosen by the instance (the arithmetic \
+             search for two powers of one letter).")
 
 let jobs_arg =
   Arg.(value & opt int 1 & info [ "jobs" ] ~docv:"J"
-       ~doc:"Fan the top-level Spoiler moves (or the scan's pair checks) out \
+       ~doc:"Fan a scan's pair checks (--scan, --classes, --frontier) out \
              over J worker domains sharing one transposition table. Implies \
-             --cache when J > 1.")
+             --cache when J > 1. A single game (two words) runs on one \
+             domain: J > 1 there is a usage error.")
 
 let stats_arg =
   Arg.(value & flag & info [ "stats" ]

@@ -31,6 +31,10 @@ type mode =
           remain sound, failures are reported as [Unknown]. *)
 
 type config
+(** A game instance. It carries the general search's solver state
+    ({!Packed.gstate}), built on first use and shared by every {!solver}
+    handle on the config; like that state, a config must not be used
+    from two domains at once. *)
 
 val make : ?sigma:char list -> string -> string -> config
 (** [make w v]: a game over 𝔄_w (Left) and 𝔅_v (Right). Σ defaults to the
@@ -57,12 +61,14 @@ val decide :
     k-round game? [budget] bounds the number of search nodes (default
     50_000_000).
 
-    Every solve runs {!Packed}'s search. With [?cache], the position is
-    first looked up in the shared {!Cache} (as is every node of the
-    search, under {!Position} keys), budget exhaustions are recorded
-    with their provenance, and unary instances go to the arithmetic
-    search ({!Packed.solve_unary}). The table only ever holds exact
-    verdicts, so with and without it the verdicts are identical. *)
+    Every solve runs {!Packed}'s search, chosen by the instance: when
+    both words are nonempty powers of one letter, the arithmetic unary
+    search ({!Packed.solve_unary}), otherwise the general search. With
+    [?cache], the position is first looked up in the shared {!Cache} (as
+    is every node of the search, under {!Position} keys) and budget
+    exhaustions are recorded with their provenance. The table only ever
+    holds exact verdicts, so with and without it the verdicts are
+    identical. *)
 
 type solver
 (** A solver handle with a persistent memo table, for deciding many
@@ -75,10 +81,6 @@ val solver_wins : solver -> (string * string) list -> int -> verdict
 (** [solver_wins s pairs k]: can Duplicator win [k] more rounds from the
     position given by the played [(left, right)] pairs? [Not_equiv] is also
     returned when the position itself is not a partial isomorphism. *)
-
-val solver_stats : solver -> stats
-(** Cumulative nodes and memo size of the handle; cache hit/miss counters
-    are those of the shared table, when one was supplied. *)
 
 val decide_with_stats :
   ?mode:mode -> ?budget:int -> ?cache:Cache.t -> config -> int ->
@@ -95,30 +97,31 @@ val winning_line : ?budget:int -> config -> int -> (move * string option) list o
     (or [None] when no response preserves the partial isomorphism).
     Returns [None] when Duplicator wins or the budget runs out. Read off
     a {!solver} handle: the first Spoiler move (Left before Right, in
-    {!spoiler_moves} order) that no candidate survives, and the first
-    {!response_candidates} reply that preserves the partial
-    isomorphism. *)
+    {!spoiler_moves} order) that no reply survives, and the first of its
+    {!replies}. *)
 
 val pp_move : Format.formatter -> move -> unit
 val pp_verdict : Format.formatter -> verdict -> unit
 
 (** {1 Shared with strategies} *)
 
-val response_candidates :
-  config -> Partial_iso.entry list -> side -> string -> string list
-(** The ordered Duplicator candidate list used by the solver: derived
-    candidates first, then all other factors of the opposite structure by
-    heuristic score. Exposed for solver-backed strategies and for the
-    ordering-ablation bench. *)
+val replies : config -> Partial_iso.entry list -> side -> string -> string Seq.t
+(** [replies cfg entries side a]: Duplicator's replies to Spoiler's move
+    [a] on [side] that extend the position [entries] to a partial
+    isomorphism, in the general search's candidate order
+    ({!Packed.reply_candidates}). When a concatenation pattern forces a
+    reply, it is the only one. Checked lazily, so a caller that stops at
+    the first reply it wants checks no further ones. For solver-backed
+    strategies, the pebble game and {!winning_line}. *)
+
+val pair : side -> 'a -> 'a -> 'a * 'a
+(** [pair side a r]: Spoiler's move [a] on [side] and the reply [r] as a
+    (left, right) pair. *)
 
 val structures : config -> Fc.Structure.t * Fc.Structure.t
 val constant_entries : config -> Partial_iso.entry list
 
 val spoiler_moves : config -> side -> string list
 (** The candidate Spoiler elements on one side (the universe minus the
-    constant values), longest first — the exact top-level move list of the
-    solver. Exposed for the parallel fan-out driver. *)
-
-val unary_of : config -> (char * int * int) option
-(** [Some (c, p, q)] when both words are nonempty powers of the same
-    letter [c] — the instances eligible for {!Packed.solve_unary}. *)
+    constant values), longest first — the general search's move order
+    ({!Packed.spoiler_moves}). *)

@@ -531,7 +531,7 @@ let cmp_lex fb i j =
     in
     go 0
 
-(* Game.by_desc_length: descending length, then String.compare. *)
+(* Spoiler's move order: descending length, then String.compare. *)
 let cmp_desc_len fb i j =
   let c = compare (Factor_bitset.length fb j) (Factor_bitset.length fb i) in
   if c <> 0 then c else cmp_lex fb i j
@@ -600,9 +600,9 @@ let make_gstate left right consts =
 
 (* Duplicator's reply order for Spoiler move [a]: the whole response
    universe sorted by (identical response first, prefix/suffix status
-   penalty, length distance, String.compare) — Game.response_candidates'
-   heuristic score. The score is position-independent, so the order is
-   computed once per (side, move) and reused at every node. *)
+   penalty, length distance, String.compare). The score is
+   position-independent, so the order is computed once per (side, move)
+   and reused at every node. *)
 let build_candidates ~from_ ~to_ ~xmap a =
   let ft = Factor_bitset.size to_.fb in
   let la = Factor_bitset.length from_.fb a in
@@ -643,6 +643,17 @@ let candidates st swap a =
       in
       tbl.(a) <- Some arr;
       arr
+
+let spoiler_moves st ~swap =
+  let fb = if swap then st.gr.fb else st.gl.fb in
+  Array.to_list
+    (Array.map (Factor_bitset.extract fb) (if swap then st.moves_r else st.moves_l))
+
+let reply_candidates st ~swap a =
+  let ffb = if swap then st.gr.fb else st.gl.fb in
+  let tfb = if swap then st.gl.fb else st.gr.fb in
+  Array.to_list
+    (Array.map (Factor_bitset.extract tfb) (candidates st swap (id_of ffb a)))
 
 (* Forced Duplicator replies, oriented by [swap] (false: Spoiler moved
    on the left). When the move [a] occurs in a concatenation pattern

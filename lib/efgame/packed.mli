@@ -87,6 +87,19 @@ val make_gstate :
 (** Raises [Invalid_argument] if a defined constant is not a factor of
     its word. *)
 
+val spoiler_moves : gstate -> swap:bool -> string list
+(** Spoiler's moves on the left ([swap = false]) or right side: the
+    universe minus the constant values, longest first, ties in
+    [String.compare] order — the general search's move order. *)
+
+val reply_candidates : gstate -> swap:bool -> string -> string list
+(** [reply_candidates g ~swap a]: every factor of the other word, in the
+    order the general search tries them as Duplicator's reply to
+    Spoiler's move [a] — the identical reply first, then by
+    prefix/suffix status penalty, length distance and [String.compare].
+    The order does not depend on the position. Raises [Invalid_argument]
+    when [a] is not a factor of its word. *)
+
 type memo
 (** A position memo (rounds remaining × played pairs → verdict) that a
     solver handle keeps across solves of one instance. Entries are exact

@@ -14,14 +14,8 @@ let entries_of_position consts position =
 let decide ?(budget = 50_000_000) ~pebbles ~rounds cfg =
   if pebbles <= 0 then invalid_arg "Pebble.decide: need at least one pebble";
   let consts = Game.constant_entries cfg in
-  let left, right = Game.structures cfg in
-  let const_values proj = List.filter_map proj consts in
-  let moves side =
-    let st, proj = match side with Game.Left -> (left, fst) | Game.Right -> (right, snd) in
-    Fc.Structure.universe st
-    |> List.filter (fun e -> not (List.mem e (const_values proj)))
-  in
-  let left_moves = moves Game.Left and right_moves = moves Game.Right in
+  let left_moves = Game.spoiler_moves cfg Game.Left in
+  let right_moves = Game.spoiler_moves cfg Game.Right in
   let memo = Hashtbl.create 1024 in
   let nodes = ref 0 in
   let rec wins position k =
@@ -40,16 +34,12 @@ let decide ?(budget = 50_000_000) ~pebbles ~rounds cfg =
               entries_of_position consts
                 (Array.mapi (fun j p -> if j = i then None else p) position)
             in
-            List.exists
+            Seq.exists
               (fun r ->
-                let pair = match side with Game.Left -> (a, r) | Game.Right -> (r, a) in
-                let entry = (Some (fst pair), Some (snd pair)) in
-                Partial_iso.extension_ok others entry
-                &&
                 let position' = Array.copy position in
-                position'.(i) <- Some pair;
+                position'.(i) <- Some (Game.pair side a r);
                 wins position' (k - 1))
-              (Game.response_candidates cfg others side a)
+              (Game.replies cfg others side a)
           in
           let spoiler_has_win =
             List.exists

@@ -18,6 +18,36 @@ let m_abandoned = Obs.Metrics.counter "scheduler.abandoned_items"
 let fp_item = Rt.Fault.point "scheduler.item"
 let fp_claim = Rt.Fault.point "scheduler.claim"
 
+(* Run [worker 0 .. worker (jobs-1)], [jobs - 1] of them on fresh
+   domains and worker 0 inline, collecting worker exceptions instead of
+   reraising them. [on_crash] runs on the calling domain — for spawned
+   workers at join time, for the inline worker immediately — so it may
+   log and touch shared state without further synchronization. *)
+let run_workers_supervised ~jobs ~on_crash worker =
+  let inline () =
+    match worker 0 with
+    | () -> 0
+    | exception e ->
+        on_crash ~worker:0 e;
+        1
+  in
+  if jobs <= 1 then inline ()
+  else begin
+    let spawned =
+      List.init (jobs - 1) (fun i -> Domain.spawn (fun () -> worker (i + 1)))
+    in
+    let inline_crashed = inline () in
+    List.fold_left
+      (fun (crashed, i) d ->
+        match Domain.join d with
+        | () -> (crashed, i + 1)
+        | exception e ->
+            on_crash ~worker:i e;
+            (crashed + 1, i + 1))
+      (inline_crashed, 1) spawned
+    |> fst
+  end
+
 type t = {
   next : int Atomic.t;
   limit : int Atomic.t;
@@ -192,7 +222,7 @@ let run ?tick ?stop t f =
       "worker %d crashed (%s); continuing on the remaining domains" w
       (Printexc.to_string e)
   in
-  ignore (Parallel.run_workers_supervised ~jobs:t.jobs ~on_crash (worker : int -> unit));
+  ignore (run_workers_supervised ~jobs:t.jobs ~on_crash (worker : int -> unit));
   (* Degraded drain: if crashes left unclaimed or requeued work behind
      (in the worst case every domain died), the calling domain finishes
      the space itself. Claim-path faults can crash this pass too, so it

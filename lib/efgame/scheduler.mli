@@ -5,10 +5,9 @@
     takes a 1/(2·jobs) share of the {e remaining} space, clamped to
     [\[min_chunk, max_chunk\]], so early chunks are large (few atomic
     operations) and the tail is fine-grained (stragglers cannot strand a
-    large chunk behind one slow item). This replaces barrier-style
-    [Parallel.map] rounds for scans whose items have wildly heterogeneous
-    cost: no worker ever waits at a row boundary while another finishes a
-    deep search.
+    large chunk behind one slow item). Scan items have wildly
+    heterogeneous cost, and with no barrier between rows no worker ever
+    waits at a row boundary while another finishes a deep search.
 
     The limit is {e shrinkable}: [shrink_limit t i] abandons every index
     ≥ i that has not started, at item granularity (in-flight chunks
@@ -93,3 +92,16 @@ val faults : t -> int
 
 val crashes : t -> int
 (** Worker domains that died outside an item and were absorbed. *)
+
+val run_workers_supervised :
+  jobs:int -> on_crash:(worker:int -> exn -> unit) -> (int -> unit) -> int
+(** [run_workers_supervised ~jobs ~on_crash worker] runs [worker 0 ..
+    worker (jobs-1)] to completion, [jobs - 1] of them on fresh domains
+    and worker 0 inline on the calling domain ([jobs ≤ 1] spawns
+    nothing). A worker whose exception escapes does not kill the run:
+    [on_crash] is invoked for it (on the calling domain, after the
+    crash) and the remaining workers keep draining whatever shared work
+    distributor they poll. Returns the number of crashed workers (0 =
+    every worker returned normally). Completion of the shared work is
+    the {e caller's} invariant to check: {!run} verifies it and finishes
+    any remainder itself. *)

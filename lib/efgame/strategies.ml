@@ -6,10 +6,7 @@ let identity : Strategy.t =
   else raise (Strategy.Failure_to_respond "identity: element not shared")
 
 let pairs_of_history history =
-  List.map
-    (fun ((m : Game.move), r) ->
-      match m.Game.side with Game.Left -> (m.Game.element, r) | Game.Right -> (r, m.Game.element))
-    history
+  List.map (fun ((m : Game.move), r) -> Game.pair m.Game.side m.Game.element r) history
 
 let solver_backed cfg0 ~total_rounds : Strategy.t =
   let s = Game.solver cfg0 in
@@ -18,17 +15,12 @@ let solver_backed cfg0 ~total_rounds : Strategy.t =
     let pairs = pairs_of_history history in
     let remaining = max 0 (total_rounds - List.length history - 1) in
     let winning r =
-      let entry, pair =
-        match move.Game.side with
-        | Game.Left -> ((Some move.Game.element, Some r), (move.Game.element, r))
-        | Game.Right -> ((Some r, Some move.Game.element), (r, move.Game.element))
-      in
-      Partial_iso.extension_ok entries entry
-      && Game.solver_wins s (pair :: pairs) remaining = Game.Equiv
+      let pair = Game.pair move.Game.side move.Game.element r in
+      Game.solver_wins s (pair :: pairs) remaining = Game.Equiv
     in
     match
-      List.find_opt winning
-        (Game.response_candidates cfg0 entries move.Game.side move.Game.element)
+      Seq.find winning
+        (Game.replies cfg0 entries move.Game.side move.Game.element)
     with
     | Some r -> r
     | None ->
@@ -42,23 +34,17 @@ let solver_backed_maximin cfg0 ~cap : Strategy.t =
     let entries = Strategy.entries_of_history cfg0 history in
     let pairs = pairs_of_history history in
     let depth r =
-      let entry, pair =
-        match move.Game.side with
-        | Game.Left -> ((Some move.Game.element, Some r), (move.Game.element, r))
-        | Game.Right -> ((Some r, Some move.Game.element), (r, move.Game.element))
+      let pair = Game.pair move.Game.side move.Game.element r in
+      (* Winnability is antitone in the number of rounds, so scan up. *)
+      let rec probe j =
+        if j > cap then cap
+        else if Game.solver_wins s (pair :: pairs) j = Game.Equiv then probe (j + 1)
+        else j - 1
       in
-      if not (Partial_iso.extension_ok entries entry) then -1
-      else
-        (* Winnability is antitone in the number of rounds, so scan up. *)
-        let rec probe j =
-          if j > cap then cap
-          else if Game.solver_wins s (pair :: pairs) j = Game.Equiv then probe (j + 1)
-          else j - 1
-        in
-        probe 1
+      probe 1
     in
     let candidates =
-      Game.response_candidates cfg0 entries move.Game.side move.Game.element
+      Game.replies cfg0 entries move.Game.side move.Game.element
     in
     (* Tie-break equal depths by mirror distance — the shape a winning
        high-round strategy must have near the word ends (Claim F.2). *)
@@ -74,15 +60,12 @@ let solver_backed_maximin cfg0 ~cap : Strategy.t =
     in
     let better (d, pen) (d', pen') = d > d' || (d = d' && pen < pen') in
     let best =
-      List.fold_left
+      Seq.fold_left
         (fun acc r ->
-          let d = depth r in
-          if d < 0 then acc
-          else
-            let key = (d, mirror_penalty r) in
-            match acc with
-            | Some (_, key') when not (better key key') -> acc
-            | _ -> Some (r, key))
+          let key = (depth r, mirror_penalty r) in
+          match acc with
+          | Some (_, key') when not (better key key') -> acc
+          | _ -> Some (r, key))
         None candidates
     in
     match best with

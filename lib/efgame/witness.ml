@@ -33,29 +33,25 @@ let verdict_of_result = function
   | None -> Game.Unknown
 
 (* Decide [a^p ≡_k a^q] under the given engine, also reporting the number
-   of search nodes expanded. Cached/Parallel engines take the arithmetic
-   search ({!Packed.solve_unary}) whenever both words are nonempty,
-   skipping [Game.make] entirely; pairs involving ε fall back to the
-   general solver (with the transposition table when present).
-   [store_depth] bounds the depth at which the shared table is touched
-   (see {!Packed.solve_unary}); it never affects verdicts. *)
+   of search nodes expanded. Every engine takes the arithmetic search
+   ({!Packed.solve_unary}) whenever both words are nonempty, skipping
+   [Game.make] entirely; pairs involving ε fall back to the general
+   solver. The engine only decides whether a transposition table is
+   consulted. [store_depth] bounds the depth at which the shared table
+   is touched (see {!Packed.solve_unary}); it never affects verdicts. *)
 let decide_pair_counted ?budget ?(engine = Seed) ?(store_depth = max_int) ~k p q =
-  let general ?cache () =
+  let cache = engine_cache engine in
+  if p >= 1 && q >= 1 then
+    let budget = Option.value budget ~default:50_000_000 in
+    let r, nodes, _ =
+      Packed.solve_unary ?cache ~store_depth ~budget ~p ~q ~init:[] k
+    in
+    (verdict_of_result r, nodes)
+  else
     let verdict, st =
       Game.decide_with_stats ?budget ?cache (Game.make (unary p) (unary q)) k
     in
     (verdict, st.Game.nodes)
-  in
-  match engine with
-  | Seed -> general ()
-  | Cached cache | Parallel (cache, _) ->
-      if p >= 1 && q >= 1 then
-        let budget = Option.value budget ~default:50_000_000 in
-        let r, nodes, _ =
-          Packed.solve_unary ~cache ~store_depth ~budget ~p ~q ~init:[] k
-        in
-        (verdict_of_result r, nodes)
-      else general ~cache ()
 
 let decide_pair ?budget ?engine ?store_depth ~k p q =
   fst (decide_pair_counted ?budget ?engine ?store_depth ~k p q)

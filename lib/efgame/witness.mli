@@ -8,10 +8,12 @@
     ({!Persist}) makes a repeated or resumed scan incremental. *)
 
 type engine =
-  | Seed  (** the original memoized search, no transposition table *)
+  | Seed
+      (** no transposition table: unary pairs run the arithmetic search
+          ({!Packed.solve_unary}) with a solve-local memo, ε pairs the
+          general search *)
   | Cached of Cache.t
-      (** transposition-table-backed search; unary pairs dispatch to the
-          arithmetic search ({!Packed.solve_unary}) directly *)
+      (** the same searches, consulting and feeding the shared table *)
   | Parallel of Cache.t * int
       (** like [Cached], but scans steal pair-granularity chunks of the
           (p, q) triangle across the given number of worker domains

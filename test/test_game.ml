@@ -57,12 +57,37 @@ let test_limited_mode_sound () =
   let v = Game.equiv ~mode:(Game.Duplicator_limited 4) (unary 2) (unary 3) 1 in
   check "never false Equiv" true (v <> Game.Equiv)
 
+let show_line line =
+  String.concat "; "
+    (List.map
+       (fun ((m : Game.move), r) ->
+         Format.asprintf "%a→%s" Game.pp_move m
+           (match r with Some s when s <> "" -> s | Some _ -> "ε" | None -> "stuck"))
+       line)
+
 let test_winning_line () =
-  match Game.winning_line (Game.make (unary 2) (unary 3)) 2 with
+  (match Game.winning_line (Game.make (unary 2) (unary 3)) 2 with
   | None -> Alcotest.fail "expected spoiler win"
   | Some line ->
       check "line nonempty" true (List.length line >= 1);
-      check "line bounded by k" true (List.length line <= 2)
+      check "line bounded by k" true (List.length line <= 2));
+  (* EXPERIMENTS E1's lines on a^2i vs a^(2i-1), pinned: a changed move
+     or reply order shows up as a diff *)
+  List.iter
+    (fun (i, expect) ->
+      let w = unary (2 * i) and v = unary ((2 * i) - 1) in
+      match Game.winning_line (Game.make w v) 2 with
+      | None -> Alcotest.failf "a^%d vs a^%d: expected a line" (2 * i) ((2 * i) - 1)
+      | Some line ->
+          Alcotest.(check string)
+            (Printf.sprintf "E1 line, i = %d" i)
+            expect (show_line line))
+    [
+      (1, "L:aa→stuck");
+      (2, "L:aaaa→aaa; L:aaa→stuck");
+      (3, "L:aaaaaa→aaaaa; L:aaa→stuck");
+      (4, "L:aaaaaaaa→aaaaaaa; L:aaaa→stuck");
+    ]
 
 let test_winning_line_none () =
   Alcotest.(check bool) "no line on equivalent pair" true

@@ -69,10 +69,10 @@ let unary_pairs ~max_n =
 
 let at k = List.map (fun (w, v) -> (w, v, k))
 
-(* every general-game path: uncached, one shared table, Parallel.decide
-   (whose per-move tasks solve from non-empty positions on reusable
-   handles), and width-limited searches whose Equiv must be genuine *)
-let check_all_paths ~cache ?(jobs = 1) instances =
+(* every path through Game.decide (the unary search on unary words, the
+   general search on the rest): uncached, one shared table, and
+   width-limited searches whose Equiv must be genuine *)
+let check_all_paths ~cache instances =
   List.iter
     (fun (w, v, k) ->
       let label = Printf.sprintf "%S vs %S @%d" w v k in
@@ -81,8 +81,6 @@ let check_all_paths ~cache ?(jobs = 1) instances =
       Alcotest.check verdict (label ^ " uncached") expect (Game.decide cfg k);
       Alcotest.check verdict (label ^ " cached") expect
         (Game.decide ~cache cfg k);
-      Alcotest.check verdict (label ^ " parallel") expect
-        (fst (Parallel.decide ~jobs ~cache cfg k));
       List.iter
         (fun width ->
           if Game.decide ~mode:(Game.Duplicator_limited width) cfg k = Game.Equiv

@@ -60,7 +60,7 @@ let instances =
   ]
 
 let test_general_identity () =
-  Test_oracle.check_all_paths ~cache:(Cache.create ()) ~jobs:2 instances
+  Test_oracle.check_all_paths ~cache:(Cache.create ()) instances
 
 let test_general_identity_budget () =
   (* a starved search may only answer Unknown, never a wrong verdict,

@@ -89,7 +89,7 @@ let test_run_workers_supervised () =
   (* spawned crash: absorbed, reported, counted *)
   let crashed = ref [] in
   let n =
-    Parallel.run_workers_supervised ~jobs:4
+    Scheduler.run_workers_supervised ~jobs:4
       ~on_crash:(fun ~worker e -> crashed := (worker, Printexc.to_string e) :: !crashed)
       (fun w -> if w = 2 then failwith "crash-2")
   in
@@ -102,7 +102,7 @@ let test_run_workers_supervised () =
   (* inline crash with jobs = 1 *)
   let inline = ref 0 in
   let n =
-    Parallel.run_workers_supervised ~jobs:1
+    Scheduler.run_workers_supervised ~jobs:1
       ~on_crash:(fun ~worker:_ _ -> incr inline)
       (fun _ -> failwith "inline")
   in
@@ -110,7 +110,7 @@ let test_run_workers_supervised () =
   check_int "inline crash reported" 1 !inline;
   (* no crash: zero *)
   check_int "no crash" 0
-    (Parallel.run_workers_supervised ~jobs:3
+    (Scheduler.run_workers_supervised ~jobs:3
        ~on_crash:(fun ~worker:_ _ -> Alcotest.fail "spurious on_crash")
        (fun _ -> ()))
 

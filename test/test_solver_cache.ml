@@ -1,7 +1,8 @@
-(* The transposition-table solver engine: cached, parallel and seed
-   searches must return byte-identical verdicts; table entries are
-   rounds-aware; Unknown entries carry their budget provenance and are
-   never reused to answer a better-resourced query. *)
+(* The transposition-table solver engine: cached and uncached searches
+   must return the brute-force oracle's verdicts (test/oracle.ml, which
+   shares no code with the solvers); table entries are rounds-aware;
+   Unknown entries carry their budget provenance and are never reused to
+   answer a better-resourced query. *)
 
 open Efgame
 
@@ -9,6 +10,7 @@ let unary n = String.make n 'a'
 
 let verdict = Alcotest.testable Game.pp_verdict (fun a b -> a = b)
 let check = Alcotest.(check bool)
+let oracle w v k = if Oracle.equiv w v k then Game.Equiv else Game.Not_equiv
 
 (* word pairs exercised by the existing game/theorem tests: unary pairs
    on both sides of the ≡₁/≡₂ frontiers, mixed alphabets, ε, and the
@@ -42,7 +44,7 @@ let test_cached_agrees_with_seed () =
     (fun (w, v, k) ->
       Alcotest.check verdict
         (Printf.sprintf "%S vs %S @%d" w v k)
-        (Game.equiv w v k)
+        (oracle w v k)
         (Game.equiv ~cache w v k))
     instances
 
@@ -58,21 +60,6 @@ let test_cached_agrees_on_reuse () =
         (Printf.sprintf "warm vs seed %S vs %S @%d" w v k)
         (Game.equiv w v k) second)
     instances
-
-let test_parallel_agrees_with_seed () =
-  List.iter
-    (fun jobs ->
-      let cache = Cache.create () in
-      List.iter
-        (fun (w, v, k) ->
-          let verdict_par, _ =
-            Parallel.decide ~jobs ~cache (Game.make w v) k
-          in
-          Alcotest.check verdict
-            (Printf.sprintf "jobs=%d %S vs %S @%d" jobs w v k)
-            (Game.equiv w v k) verdict_par)
-        instances)
-    [ 1; 2; 4 ]
 
 let test_witness_engines_agree () =
   List.iter
@@ -90,11 +77,11 @@ let test_witness_engines_agree () =
 
 let test_unary_closed_form_agrees () =
   (* the arithmetic fast path (with its closed-form 1-round game) against
-     the seed string solver, exhaustively on a small grid *)
+     the brute-force oracle, exhaustively on a small grid *)
   for k = 1 to 2 do
     for p = 1 to 18 do
       for q = p to 18 do
-        let seed = Game.equiv (unary p) (unary q) k in
+        let seed = oracle (unary p) (unary q) k in
         let fast =
           match Packed.solve_unary ~p ~q ~init:[] k with
           | Some true, _, _ -> Game.Equiv
@@ -171,7 +158,22 @@ let test_limited_mode_cache_soundness () =
   Alcotest.check verdict "limited win is genuine" Game.Equiv
     (Game.equiv ~cache:cache2 ~mode:(Game.Duplicator_limited 6) (unary 3) (unary 4) 1);
   Alcotest.check verdict "table reusable by full search" Game.Equiv
-    (Game.equiv ~cache:cache2 (unary 3) (unary 4) 1)
+    (Game.equiv ~cache:cache2 (unary 3) (unary 4) 1);
+  (* and the table never changes a verdict: unary instances take the
+     same search with and without one *)
+  for width = 1 to 4 do
+    for k = 1 to 3 do
+      for p = 1 to 16 do
+        for q = p to 16 do
+          let mode = Game.Duplicator_limited width in
+          Alcotest.check verdict
+            (Printf.sprintf "width %d a^%d vs a^%d @%d" width p q k)
+            (Game.equiv ~mode (unary p) (unary q) k)
+            (Game.equiv ~cache:(Cache.create ()) ~mode (unary p) (unary q) k)
+        done
+      done
+    done
+  done
 
 let test_canonical_keys () =
   (* left/right mirror symmetry: both orientations share one table key *)
@@ -210,13 +212,11 @@ let arb_instance =
   QCheck.make gen ~print:(fun (w, v, k) -> Printf.sprintf "(%S, %S, %d)" w v k)
 
 let prop_engines_agree =
-  QCheck.Test.make ~name:"cached and parallel verdicts equal the seed solver"
+  QCheck.Test.make ~name:"cached and uncached verdicts equal the oracle"
     ~count:120 arb_instance (fun (w, v, k) ->
-      let seed = Game.equiv w v k in
+      let expect = oracle w v k in
       let cache = Cache.create () in
-      let cached = Game.equiv ~cache w v k in
-      let par, _ = Parallel.decide ~jobs:2 ~cache:(Cache.create ()) (Game.make w v) k in
-      seed = cached && seed = par)
+      Game.equiv w v k = expect && Game.equiv ~cache w v k = expect)
 
 let prop_unary_key_canonical =
   (* Position.unary_key is constant on a position's mirror orbit:
@@ -247,11 +247,11 @@ let prop_unary_key_canonical =
 let prop_unary_fast_path =
   let gen = QCheck.Gen.(triple (1 -- 24) (1 -- 24) (0 -- 2)) in
   QCheck.Test.make
-    ~name:"unary fast path equals the string solver"
+    ~name:"unary fast path equals the oracle"
     ~count:120
     (QCheck.make gen ~print:(fun (p, q, k) -> Printf.sprintf "(%d, %d, %d)" p q k))
     (fun (p, q, k) ->
-      let seed = Game.equiv (unary p) (unary q) k in
+      let seed = oracle (unary p) (unary q) k in
       let fast =
         match Packed.solve_unary ~p ~q ~init:[] k with
         | Some true, _, _ -> Game.Equiv
@@ -265,7 +265,6 @@ let tests =
     [
       Alcotest.test_case "cached verdicts equal seed" `Quick test_cached_agrees_with_seed;
       Alcotest.test_case "warm table verdicts stable" `Quick test_cached_agrees_on_reuse;
-      Alcotest.test_case "parallel verdicts equal seed" `Quick test_parallel_agrees_with_seed;
       Alcotest.test_case "witness engines agree" `Quick test_witness_engines_agree;
       Alcotest.test_case "unary closed form agrees" `Quick test_unary_closed_form_agrees;
       Alcotest.test_case "rounds-aware lookup" `Quick test_rounds_aware_lookup;
